@@ -1,16 +1,21 @@
 """Command-line front end.
 
 One subcommand per verification experiment keeps the check-to-code map
-auditable.  Every run is deterministic given its flags and seed; Monte
+auditable.  The table ``EXPERIMENTS`` is the only place an experiment is
+described: the parser, the ``--help`` list and the dispatch are built
+from it.  Every run is deterministic given its flags and seed; Monte
 Carlo work is split over counter-based substreams so the output is
 byte-identical for any ``--threads`` value.  Results are written as CSV
 (one file per table, floats at 17 significant digits) plus a plain-text
 summary, and the exit code is 0 only if every pass flag is true.
 """
 
+import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,25 +44,6 @@ from .verify_harness import (
     run_thm32,
     run_thm34,
 )
-
-import argparse
-
-EXPERIMENT_GUIDE = """\
-experiments:
-  verify poincare    composition identity P_theta(phi(theta s)) = phi(s) (Poincare equation)
-  verify lemma12     scaled counts theta*N_theta converge to the mixer U (Lemma 1.2)
-  verify definetti   phi(n(1 - G(a_n x + b_n))) converges to phi(-log H) (Theorems 1.1/2.2)
-  verify thm24       paired tables G^n -> H against P_{1/n}(G) -> phi(-log H) (Theorem 2.4)
-  verify thm31       same-type decomposition F = P_theta(F_theta) (Theorem 3.1)
-  verify thm32       subordination F(x) = P(Y(Z) <= x) by exact sampling (Theorem 3.2 iv)
-  verify thm34       random domain of max-attraction, analytic + sampled (Theorem 3.4)
-  sample randmax     draws of the random maximum max of N_theta base draws
-  sample mixer       draws of the mixer U (Laplace transform phi)
-  sample count       draws of the count N_theta
-  sample extremal-marginal   exact draws of Y(t)
-  extremal path      jump-chain trajectories of the extremal process
-  table doa          domain-of-attraction gap table along n
-"""
 
 DEFAULT_SEED_ENV = "RANDMAX_SEED"
 
@@ -122,131 +108,6 @@ def parse_base(spec):
     return standard_triple(kind, alpha)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="randmax",
-        description="Random max-stable laws: verification experiments and samplers.",
-        epilog=EXPERIMENT_GUIDE,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    subparsers = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"64-bit seed (default: ${DEFAULT_SEED_ENV} or 0)")
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; output is identical for any value")
-        p.add_argument("--config", default=None,
-                       help="flat key=value file mirroring the long flags")
-
-    def family_opts(p):
-        p.add_argument("--family", default="geometric",
-                       help="geometric | mittag-leffler | degenerate")
-        p.add_argument("--nu", type=float, default=None,
-                       help="Mittag-Leffler order in (0, 1)")
-
-    verify = subparsers.add_parser("verify", help="run a verification experiment").add_subparsers(
-        dest="experiment", required=True
-    )
-
-    p = verify.add_parser("poincare", help="composition identity residuals")
-    family_opts(p)
-    p.add_argument("--thetas", default="0.5,0.1,0.01")
-    p.add_argument("--s-grid", default="0.01,0.1,0.5,1,2,5,10")
-    common(p)
-
-    p = verify.add_parser("lemma12", help="scaled count convergence to the mixer")
-    family_opts(p)
-    p.add_argument("--theta", type=float, default=0.001)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--threshold", type=float, default=0.01)
-    common(p)
-
-    p = verify.add_parser("definetti", help="de Finetti style limit table")
-    family_opts(p)
-    p.add_argument("--triple", default="pareto:1", help="pareto:a | exponential | uniform")
-    p.add_argument("--ns", default="10,100,1000,10000")
-    common(p)
-
-    p = verify.add_parser("thm24", help="paired deterministic/random convergence tables")
-    family_opts(p)
-    p.add_argument("--triple", default="pareto:1")
-    p.add_argument("--ns", default="10,100,1000,10000")
-    common(p)
-
-    p = verify.add_parser("thm31", help="same-type decomposition residuals")
-    family_opts(p)
-    p.add_argument("--marginal", default="frechet:1")
-    p.add_argument("--dependence", default="none",
-                   help="none | independence | complete (bivariate uses the marginal twice)")
-    p.add_argument("--thetas", default="0.5,0.1,0.01")
-    common(p)
-
-    p = verify.add_parser("thm32", help="subordination check by exact sampling")
-    family_opts(p)
-    p.add_argument("--marginal", default="frechet:1")
-    p.add_argument("--dependence", default="none")
-    p.add_argument("--n", type=int, default=100_000)
-    common(p)
-
-    p = verify.add_parser("thm34", help="random domain of max-attraction")
-    family_opts(p)
-    p.add_argument("--triple", default="pareto:1")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--m", type=int, default=20_000)
-    common(p)
-
-    sample = subparsers.add_parser("sample", help="draw from a sampler").add_subparsers(
-        dest="experiment", required=True
-    )
-
-    p = sample.add_parser("randmax", help="random maxima of base draws")
-    family_opts(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--base", default="pareto:1")
-    p.add_argument("--n", type=int, default=10)
-    common(p)
-
-    p = sample.add_parser("mixer", help="mixer draws")
-    family_opts(p)
-    p.add_argument("--n", type=int, default=10)
-    common(p)
-
-    p = sample.add_parser("count", help="count draws")
-    family_opts(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--n", type=int, default=10)
-    common(p)
-
-    p = sample.add_parser("extremal-marginal", help="exact draws of Y(t)")
-    p.add_argument("--marginal", default="frechet:1")
-    p.add_argument("--dependence", default="none")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=10)
-    common(p)
-
-    extremal = subparsers.add_parser("extremal", help="extremal process tools").add_subparsers(
-        dest="experiment", required=True
-    )
-    p = extremal.add_parser("path", help="simulate jump-chain trajectories")
-    p.add_argument("--marginal", default="frechet:1")
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--floor", type=float, default=None)
-    p.add_argument("--paths", type=int, default=1)
-    common(p)
-
-    table = subparsers.add_parser("table", help="analytic tables").add_subparsers(
-        dest="experiment", required=True
-    )
-    p = table.add_parser("doa", help="domain-of-attraction gaps along n")
-    p.add_argument("--triple", default="pareto:1")
-    p.add_argument("--ns", default="10,100,1000,10000")
-    common(p)
-
-    return parser
-
-
 def _splice_config(argv):
     """Insert config-file values as flags right after the subcommand tokens.
 
@@ -298,7 +159,8 @@ def emit_csv(table, path):
     Path(path).write_text(table.csv_text(), encoding="utf-8")
 
 
-def _write_report(report, outdir, stem):
+def _write_report(report, outdir):
+    stem = report.name
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for table in report.tables:
@@ -309,7 +171,8 @@ def _write_report(report, outdir, stem):
     return 0 if report.passed else 1
 
 
-def _write_samples(table, outdir, stem):
+def _write_samples(table, outdir):
+    stem = table.name
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     emit_csv(table, outdir / f"{stem}.csv")
@@ -334,77 +197,183 @@ def _sample_table(values, name):
     return Table(name=name, columns=columns, rows=rows)
 
 
-def _run_verify(args, seed):
-    name = args.experiment
-    if name == "poincare":
-        return run_poincare(
-            make_family(args),
-            thetas=_parse_float_list(args.thetas),
-            s_grid=_parse_float_list(args.s_grid),
-        )
-    if name == "lemma12":
-        return run_lemma12(
-            make_family(args), args.theta, args.n, seed,
-            threshold=args.threshold, threads=args.threads,
-        )
-    if name == "definetti":
-        return run_definetti(make_family(args), parse_base(args.triple), ns=_parse_int_list(args.ns))
-    if name == "thm24":
-        return run_thm24(make_family(args), parse_base(args.triple), ns=_parse_int_list(args.ns))
-    if name == "thm31":
-        return run_thm31(make_family(args), make_law(args), thetas=_parse_float_list(args.thetas))
-    if name == "thm32":
-        return run_thm32(make_family(args), make_law(args), args.n, seed, threads=args.threads)
-    if name == "thm34":
-        return run_thm34(
-            make_family(args), parse_base(args.triple), args.n, args.m, seed,
-            threads=args.threads,
-        )
-    raise ConfigurationError(f"unknown verify experiment {name!r}")
+def _tabulate_draws(args, seed, name, draw):
+    """``args.n`` draws of ``draw(rng, m)`` from seeded chunks, as the table ``name``."""
+    return _sample_table(chunked_draws(seed, args.n, draw, threads=args.threads), name)
 
 
-def _run_sample(args, seed):
-    name = args.experiment
-    if name == "randmax":
-        scheme = CountScheme(make_family(args), args.theta)
-        base = parse_base(args.base).base
-        values = sample_random_max_seeded(scheme, base, seed, args.n, threads=args.threads)
-        return _sample_table(values, "randmax")
-    if name == "mixer":
-        family = make_family(args)
-        values = chunked_draws(
-            seed, args.n, lambda rng, m: np.atleast_1d(family.sample_mixer(rng, m)),
-            threads=args.threads,
-        )
-        return _sample_table(values, "mixer")
-    if name == "count":
-        scheme = CountScheme(make_family(args), args.theta)
-        values = chunked_draws(
-            seed, args.n, lambda rng, m: np.atleast_1d(scheme.sample(rng, m)),
-            threads=args.threads,
-        )
-        return _sample_table(values, "count")
-    if name == "extremal-marginal":
-        law = make_law(args)
-        values = chunked_draws(
-            seed, args.n, lambda rng, m: sample_Y_at_time(law, args.t, rng, size=m),
-            threads=args.threads,
-        )
-        return _sample_table(values, "extremal-marginal")
-    raise ConfigurationError(f"unknown sample experiment {name!r}")
-
-
-def _run_extremal_path(args, seed):
-    marginal = parse_marginal(args.marginal)
-    law = MaxStableLaw((marginal,))
+def _extremal_paths(args, seed):
+    law = MaxStableLaw((parse_marginal(args.marginal),))
     paths = simulate_paths(
         law, args.horizon, args.paths, seed, floor=args.floor, threads=args.threads
     )
-    rows = []
-    for pid, path in enumerate(paths):
-        for t, s in zip(path.times, path.states):
-            rows.append((pid, float(t), float(s)))
-    return Table(name="path", columns=("path_id", "time", "state"), rows=tuple(rows))
+    rows = tuple(
+        (pid, float(t), float(s))
+        for pid, path in enumerate(paths)
+        for t, s in zip(path.times, path.states)
+    )
+    return Table(name="path", columns=("path_id", "time", "state"), rows=rows)
+
+
+class Flag(NamedTuple):
+    """One long option of a subcommand."""
+
+    name: str
+    default: object = None
+    type: object = str
+    required: bool = False
+    help: str = None
+
+
+class Experiment(NamedTuple):
+    """A subcommand: its ``--help`` line, its own flags, and ``run(args, seed)``.
+
+    ``run`` returns an ``ExperimentReport`` (written as CSV tables plus a
+    summary; the exit code follows its pass flag) or a ``Table`` of draws.
+    """
+
+    description: str
+    flags: tuple
+    run: object
+
+
+VERBS = {
+    "verify": "run a verification experiment",
+    "sample": "draw from a sampler",
+    "extremal": "extremal process tools",
+    "table": "analytic tables",
+}
+
+COMMON = (
+    Flag("--seed", None, int, help=f"64-bit seed (default: ${DEFAULT_SEED_ENV} or 0)"),
+    Flag("--out", ".", help="output directory (default: .)"),
+    Flag("--threads", 1, int, help="worker threads; output is identical for any value"),
+    Flag("--config", None, help="flat key=value file mirroring the long flags"),
+)
+FAMILY = (
+    Flag("--family", "geometric", help="geometric | mittag-leffler | degenerate"),
+    Flag("--nu", None, float, help="Mittag-Leffler order in (0, 1)"),
+)
+MARGINAL = Flag("--marginal", "frechet:1")
+DEPENDENCE = Flag("--dependence", "none",
+                  help="none | independence | complete (bivariate uses the marginal twice)")
+TRIPLE = Flag("--triple", "pareto:1", help="pareto:a | exponential | uniform")
+NS = Flag("--ns", "10,100,1000,10000")
+THETAS = Flag("--thetas", "0.5,0.1,0.01")
+
+EXPERIMENTS = {
+    ("verify", "poincare"): Experiment(
+        "composition identity P_theta(phi(theta s)) = phi(s) (Poincare equation)",
+        FAMILY + (THETAS, Flag("--s-grid", "0.01,0.1,0.5,1,2,5,10")),
+        lambda a, seed: run_poincare(
+            make_family(a), thetas=_parse_float_list(a.thetas), s_grid=_parse_float_list(a.s_grid)
+        ),
+    ),
+    ("verify", "lemma12"): Experiment(
+        "scaled counts theta*N_theta converge to the mixer U (Lemma 1.2)",
+        FAMILY + (Flag("--theta", 0.001, float), Flag("--n", 100_000, int),
+                  Flag("--threshold", 0.01, float)),
+        lambda a, seed: run_lemma12(
+            make_family(a), a.theta, a.n, seed, threshold=a.threshold, threads=a.threads
+        ),
+    ),
+    ("verify", "definetti"): Experiment(
+        "phi(n(1 - G(a_n x + b_n))) converges to phi(-log H) (Theorems 1.1/2.2)",
+        FAMILY + (TRIPLE, NS),
+        lambda a, seed: run_definetti(make_family(a), parse_base(a.triple), ns=_parse_int_list(a.ns)),
+    ),
+    ("verify", "thm24"): Experiment(
+        "paired tables G^n -> H against P_{1/n}(G) -> phi(-log H) (Theorem 2.4)",
+        FAMILY + (TRIPLE, NS),
+        lambda a, seed: run_thm24(make_family(a), parse_base(a.triple), ns=_parse_int_list(a.ns)),
+    ),
+    ("verify", "thm31"): Experiment(
+        "same-type decomposition F = P_theta(F_theta) (Theorem 3.1)",
+        FAMILY + (MARGINAL, DEPENDENCE, THETAS),
+        lambda a, seed: run_thm31(make_family(a), make_law(a), thetas=_parse_float_list(a.thetas)),
+    ),
+    ("verify", "thm32"): Experiment(
+        "subordination F(x) = P(Y(Z) <= x) by exact sampling (Theorem 3.2 iv)",
+        FAMILY + (MARGINAL, DEPENDENCE, Flag("--n", 100_000, int)),
+        lambda a, seed: run_thm32(make_family(a), make_law(a), a.n, seed, threads=a.threads),
+    ),
+    ("verify", "thm34"): Experiment(
+        "random domain of max-attraction, analytic + sampled (Theorem 3.4)",
+        FAMILY + (TRIPLE, Flag("--n", 10_000, int), Flag("--m", 20_000, int)),
+        lambda a, seed: run_thm34(
+            make_family(a), parse_base(a.triple), a.n, a.m, seed, threads=a.threads
+        ),
+    ),
+    ("sample", "randmax"): Experiment(
+        "draws of the random maximum max of N_theta base draws",
+        FAMILY + (Flag("--theta", type=float, required=True), Flag("--base", "pareto:1"),
+                  Flag("--n", 10, int)),
+        lambda a, seed: _sample_table(
+            sample_random_max_seeded(
+                CountScheme(make_family(a), a.theta), parse_base(a.base).base, seed, a.n,
+                threads=a.threads,
+            ),
+            "randmax",
+        ),
+    ),
+    ("sample", "mixer"): Experiment(
+        "draws of the mixer U (Laplace transform phi)",
+        FAMILY + (Flag("--n", 10, int),),
+        lambda a, seed: _tabulate_draws(a, seed, "mixer", make_family(a).sample_mixer),
+    ),
+    ("sample", "count"): Experiment(
+        "draws of the count N_theta",
+        FAMILY + (Flag("--theta", type=float, required=True), Flag("--n", 10, int)),
+        lambda a, seed: _tabulate_draws(
+            a, seed, "count", CountScheme(make_family(a), a.theta).sample
+        ),
+    ),
+    ("sample", "extremal-marginal"): Experiment(
+        "exact draws of Y(t)",
+        (MARGINAL, DEPENDENCE, Flag("--t", 1.0, float), Flag("--n", 10, int)),
+        lambda a, seed: _tabulate_draws(
+            a, seed, "extremal-marginal", partial(sample_Y_at_time, make_law(a), a.t)
+        ),
+    ),
+    ("extremal", "path"): Experiment(
+        "jump-chain trajectories of the extremal process",
+        (MARGINAL, Flag("--horizon", 1.0, float), Flag("--floor", None, float),
+         Flag("--paths", 1, int)),
+        _extremal_paths,
+    ),
+    ("table", "doa"): Experiment(
+        "domain-of-attraction gap table along n",
+        (TRIPLE, NS),
+        lambda a, seed: run_doa_table(parse_base(a.triple), ns=_parse_int_list(a.ns)),
+    ),
+}
+
+
+def build_parser():
+    width = max(len(f"{verb} {name}") for verb, name in EXPERIMENTS) + 3
+    guide = "experiments:\n" + "".join(
+        f"  {f'{verb} {name}':<{width}}{experiment.description}\n"
+        for (verb, name), experiment in EXPERIMENTS.items()
+    )
+    parser = argparse.ArgumentParser(
+        prog="randmax",
+        description="Random max-stable laws: verification experiments and samplers.",
+        epilog=guide,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    subparsers = {}
+    for (verb, name), experiment in EXPERIMENTS.items():
+        if verb not in subparsers:
+            subparsers[verb] = verbs.add_parser(verb, help=VERBS[verb]).add_subparsers(
+                dest="experiment", required=True
+            )
+        p = subparsers[verb].add_parser(name, help=experiment.description)
+        for flag in experiment.flags + COMMON:
+            p.add_argument(flag.name, type=flag.type, default=flag.default,
+                           required=flag.required, help=flag.help)
+        p.set_defaults(run=experiment.run)
+    return parser
 
 
 def main(argv=None):
@@ -419,28 +388,17 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        seed = _resolve_seed(args)
-        if args.verb == "verify":
-            report = _run_verify(args, seed)
-            return _write_report(report, args.out, report.name)
-        if args.verb == "sample":
-            table = _run_sample(args, seed)
-            return _write_samples(table, args.out, table.name)
-        if args.verb == "extremal":
-            table = _run_extremal_path(args, seed)
-            return _write_samples(table, args.out, table.name)
-        if args.verb == "table":
-            report = run_doa_table(parse_base(args.triple), ns=_parse_int_list(args.ns))
-            return _write_report(report, args.out, report.name)
-        raise ConfigurationError(f"unknown command {args.verb!r}")
+        result = args.run(args, _resolve_seed(args))
+        write = _write_samples if isinstance(result, Table) else _write_report
+        return write(result, args.out)
     except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RandmaxError as exc:
+    except (RandmaxError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
 

@@ -30,8 +30,22 @@ LOGISTIC = "logistic"
 # ---------------------------------------------------------------------------
 
 
+class _Marginal:
+    """A max-stable marginal H = exp(-v); ``cdf`` and ``ppf`` follow from ``v``/``vinv``.
+
+    Every ``v`` maps NaN to NaN, so a NaN argument never reads as a probability.
+    """
+
+    def cdf(self, x):
+        return apply_scalar(x, lambda z: np.exp(-self.v(z)))
+
+    def ppf(self, u):
+        with np.errstate(divide="ignore"):
+            return self.vinv(-np.log(u))
+
+
 @dataclass(frozen=True)
-class Frechet:
+class Frechet(_Marginal):
     """Frechet type: V(x) = ((x - loc)/scale)^(-alpha) above loc, +inf below."""
 
     alpha: float
@@ -50,9 +64,10 @@ class Frechet:
     def v(self, x):
         def f(z):
             z = (z - self.loc) / self.scale
-            out = np.full(z.shape, np.inf)
-            pos = z > 0.0
-            out[pos] = z[pos] ** -self.alpha
+            below = z <= 0.0
+            z[below] = 1.0  # placeholder, so the power raises no warning
+            out = z ** -self.alpha
+            out[below] = np.inf
             return out
 
         return apply_scalar(x, f)
@@ -64,23 +79,13 @@ class Frechet:
 
         return apply_scalar(w, f)
 
-    def cdf(self, x):
-        return apply_scalar(x, lambda z: np.exp(-np.atleast_1d(self.v(z))))
-
-    def ppf(self, u):
-        def f(u):
-            with np.errstate(divide="ignore"):
-                return self.loc + self.scale * (-np.log(u)) ** (-1.0 / self.alpha)
-
-        return apply_scalar(u, f)
-
     def norming(self, t):
         a = t ** (1.0 / self.alpha)
         return a, self.loc * (1.0 - a)
 
 
 @dataclass(frozen=True)
-class Gumbel:
+class Gumbel(_Marginal):
     """Gumbel type: V(x) = exp(-(x - loc)/scale) on the whole line."""
 
     loc: float = 0.0
@@ -96,7 +101,11 @@ class Gumbel:
         return -np.inf
 
     def v(self, x):
-        return apply_scalar(x, lambda z: np.exp(-(z - self.loc) / self.scale))
+        def f(z):
+            with np.errstate(over="ignore"):
+                return np.exp(-(z - self.loc) / self.scale)
+
+        return apply_scalar(x, f)
 
     def vinv(self, w):
         def f(w):
@@ -105,22 +114,12 @@ class Gumbel:
 
         return apply_scalar(w, f)
 
-    def cdf(self, x):
-        return apply_scalar(x, lambda z: np.exp(-np.atleast_1d(self.v(z))))
-
-    def ppf(self, u):
-        def f(u):
-            with np.errstate(divide="ignore"):
-                return self.loc - self.scale * np.log(-np.log(u))
-
-        return apply_scalar(u, f)
-
     def norming(self, t):
         return 1.0, self.scale * math.log(t)
 
 
 @dataclass(frozen=True)
-class ReverseWeibull:
+class ReverseWeibull(_Marginal):
     """Reverse Weibull type: V(x) = ((loc - x)/scale)^alpha below loc, 0 above."""
 
     alpha: float
@@ -138,26 +137,14 @@ class ReverseWeibull:
 
     def v(self, x):
         def f(z):
-            z = (z - self.loc) / self.scale
-            out = np.zeros(z.shape)
-            neg = z < 0.0
-            out[neg] = (-z[neg]) ** self.alpha
-            return out
+            w = (self.loc - z) / self.scale
+            w[w <= 0.0] = 0.0
+            return w ** self.alpha
 
         return apply_scalar(x, f)
 
     def vinv(self, w):
         return apply_scalar(w, lambda w: self.loc - self.scale * w ** (1.0 / self.alpha))
-
-    def cdf(self, x):
-        return apply_scalar(x, lambda z: np.exp(-np.atleast_1d(self.v(z))))
-
-    def ppf(self, u):
-        def f(u):
-            with np.errstate(divide="ignore"):
-                return self.loc - self.scale * (-np.log(u)) ** (1.0 / self.alpha)
-
-        return apply_scalar(u, f)
 
     def norming(self, t):
         a = t ** (-1.0 / self.alpha)

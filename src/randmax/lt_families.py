@@ -260,6 +260,10 @@ def _geometric_counts(p, rng, size):
     u = rng.random(size)
     k = np.ceil(np.log1p(-u) / np.log1p(-p))
     k = np.maximum(k, 1.0)
+    if np.any(k >= 2.0**63):
+        raise DomainError(
+            f"geometric count with success probability {p:g} exceeds the int64 range"
+        )
     if size is None:
         return int(k)
     return k.astype(np.int64)

@@ -8,6 +8,7 @@ fixed constants, so the produced numbers depend only on the seed, never on
 the number of worker threads.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -44,6 +45,26 @@ def as_generator(rng):
     return substream(rng, 0)
 
 
+def _map_chunks(seed, n, job, threads, chunk, what):
+    """Ordered results of ``job(rng, m)`` over the fixed-size substream chunks of ``n`` items.
+
+    At most ``min(threads, chunks, os.cpu_count())`` worker threads run.
+    """
+    if n <= 0:
+        raise ConfigurationError(f"{what} must be positive, got {n}")
+    spans = [(index, min(chunk, n - start)) for index, start in enumerate(range(0, n, chunk))]
+
+    def one(span):
+        idx, m = span
+        return job(substream(seed, idx), m)
+
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers <= 1:
+        return [one(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, spans))
+
+
 def chunked_draws(seed, n, draw, threads=1, chunk=CHUNK_DRAWS):
     """Assemble ``n`` draws from fixed-size substream chunks.
 
@@ -51,47 +72,11 @@ def chunked_draws(seed, n, draw, threads=1, chunk=CHUNK_DRAWS):
     Chunks are always assembled in index order, so the result is identical
     for every thread count.
     """
-    if n <= 0:
-        raise ConfigurationError(f"sample size must be positive, got {n}")
-    spans = []
-    start = 0
-    index = 0
-    while start < n:
-        spans.append((index, min(chunk, n - start)))
-        start += chunk
-        index += 1
-
-    def one(span):
-        idx, m = span
-        return draw(substream(seed, idx), m)
-
-    if threads <= 1 or len(spans) == 1:
-        parts = [one(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, spans))
+    parts = _map_chunks(seed, n, draw, threads, chunk, "sample size")
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def chunked_list(seed, n, build, threads=1, chunk=CHUNK_PATHS):
     """Like ``chunked_draws`` for builders returning lists of objects."""
-    if n <= 0:
-        raise ConfigurationError(f"count must be positive, got {n}")
-    spans = []
-    start = 0
-    index = 0
-    while start < n:
-        spans.append((index, min(chunk, n - start)))
-        start += chunk
-        index += 1
-
-    def one(span):
-        idx, m = span
-        return build(substream(seed, idx), m)
-
-    if threads <= 1 or len(spans) == 1:
-        parts = [one(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, spans))
+    parts = _map_chunks(seed, n, build, threads, chunk, "count")
     return [item for part in parts for item in part]

@@ -1,3 +1,5 @@
+import pytest
+
 from randmax.cli import emit_csv, main
 from randmax.verify_harness import Table
 
@@ -193,3 +195,22 @@ def test_help_lists_experiments(capsys):
                   "thm34", "randmax", "mixer", "count", "extremal-marginal",
                   "path", "doa", "Theorem 2.4", "Theorem 3.2", "Lemma 1.2"):
         assert token in text, token
+
+
+@pytest.mark.parametrize("family", [
+    ["--family", "geometric", "--theta", "1e-20"],
+    ["--family", "mittag-leffler", "--nu", "0.5", "--theta", "1e-40"],
+])
+def test_count_beyond_int64_exits_two(tmp_path, capsys, family):
+    code, out = run(["sample", "count", *family, "--n", "3", "--seed", "1"], tmp_path)
+    assert code == 2
+    assert "int64" in capsys.readouterr().err
+    assert not (out / "count.csv").exists()
+
+
+def test_unallocatable_sample_exits_one(tmp_path, capsys):
+    # about 3.6e14 base draws: more than any address space, so refused at once
+    code, _ = run(["sample", "randmax", "--theta", "1e-15", "--n", "1", "--seed", "1"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

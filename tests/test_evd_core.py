@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from randmax import (
     ConfigurationError,
     DomainError,
     Frechet,
+    Geometric,
     Gumbel,
     MaxStableLaw,
+    NMaxStableLaw,
     Pareto,
     ReverseWeibull,
     StdUniform,
@@ -18,6 +21,7 @@ from randmax import (
     ks_critical,
     ks_distance,
     ms_cdf,
+    nmid_cdf,
     poisson_max_cdf,
     sample_base,
     standard_points,
@@ -236,3 +240,14 @@ def test_marginal_ppf_round_trip():
         assert np.abs(marginal.cdf(marginal.ppf(u)) - u).max() < 1e-12
     for base in BASES:
         assert np.abs(base.cdf(base.ppf(u)) - u).max() < 1e-12
+
+
+@pytest.mark.parametrize("marginal", [Frechet(1.0), Gumbel(), ReverseWeibull(1.0)])
+def test_nan_propagates_and_far_left_tail_is_quiet(marginal):
+    assert math.isnan(marginal.v(math.nan))
+    assert math.isnan(marginal.cdf(math.nan))
+    with pytest.raises(DomainError):
+        nmid_cdf(NMaxStableLaw(Geometric(), univariate(marginal)), math.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # Gumbel's v overflows here
+        assert marginal.cdf(-1000.0) == 0.0
