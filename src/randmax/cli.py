@@ -32,7 +32,7 @@ from .evd_core import (
 from .extremal_proc import sample_Y_at_time, simulate_paths
 from .lt_families import CountScheme, Degenerate, Geometric, MittagLeffler
 from .nmid_compose import sample_random_max_seeded
-from .streams import chunked_draws
+from .streams import check_seed, chunked_draws
 from .verify_harness import (
     Table,
     run_definetti,
@@ -182,8 +182,11 @@ def _write_samples(table, outdir):
 
 def _resolve_seed(args):
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
+        return check_seed(args.seed)
+    try:
+        return check_seed(os.environ.get(DEFAULT_SEED_ENV, "0"))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"${DEFAULT_SEED_ENV}: {exc}") from None
 
 
 def _sample_table(values, name):

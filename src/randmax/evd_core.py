@@ -293,6 +293,9 @@ def standard_points(law):
 # Base distributions and Poisson maxima
 # ---------------------------------------------------------------------------
 
+# A base law inverts both G (``ppf``) and its survival 1 - G (``isf``); the
+# latter stays exact for survivals far below the float spacing near 1.
+
 
 @dataclass(frozen=True)
 class Pareto:
@@ -320,6 +323,9 @@ class Pareto:
     def ppf(self, u):
         return apply_scalar(u, lambda u: (1.0 - u) ** (-1.0 / self.alpha))
 
+    def isf(self, s):
+        return apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
+
     def norming(self, n):
         return n ** (1.0 / self.alpha), 0.0
 
@@ -339,6 +345,9 @@ class UnitExponential:
     def ppf(self, u):
         return apply_scalar(u, lambda u: -np.log1p(-u))
 
+    def isf(self, s):
+        return apply_scalar(s, lambda s: -np.log(s))
+
     def norming(self, n):
         return 1.0, math.log(n)
 
@@ -357,6 +366,9 @@ class StdUniform:
 
     def ppf(self, u):
         return apply_scalar(u, lambda u: u)
+
+    def isf(self, s):
+        return apply_scalar(s, lambda s: 1.0 - s)
 
     def norming(self, n):
         return 1.0 / n, 1.0

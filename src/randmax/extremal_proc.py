@@ -72,8 +72,8 @@ def simulate_path(law, horizon, rng, floor=None):
             "path simulation is implemented for Frechet marginals only; "
             "marginal-law sampling covers the other types"
         )
-    if horizon <= 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < np.inf:
+        raise DomainError(f"horizon must be finite and positive, got {horizon}")
     y0 = default_floor(m, horizon) if floor is None else float(floor)
     if not y0 > m.lower:
         raise DomainError(f"floor must lie above the lower endpoint {m.lower}")
@@ -114,8 +114,8 @@ def sample_Y_at_time(law, t, rng, size=None):
     is evaluation-only and is rejected here.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("time must be positive")
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise DomainError("time must be finite and positive")
     if law.dim >= 2 and law.dependence not in (INDEPENDENCE, COMPLETE_DEPENDENCE):
         raise ConfigurationError(
             "exact sampling supports independence and complete dependence only; "

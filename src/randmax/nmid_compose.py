@@ -5,8 +5,8 @@ count scheme) with a max-stable base H.  The composed d.f. is evaluated
 through the exponent function, F(x) = phi(V(x)), which stays accurate in
 the tails where H(x) underflows.  The module also provides the quadrature
 oracle integral H(x)^t dLambda(t) against the mixer density, exact sampling
-of random maxima (the count is drawn first, then that many base draws are
-maximized), and the same-type decomposition F = P_theta(F_theta).
+of random maxima (the count first, then the maximum by inverting G^N in
+survival space), and the same-type decomposition F = P_theta(F_theta).
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .evd_core import MaxStableLaw, PoissonMax, standard_points
 from .lt_families import Degenerate
-from .streams import CHUNK_HEAVY, as_generator, chunked_draws
+from .streams import as_generator, chunked_draws
 
 
 @dataclass(frozen=True)
@@ -82,34 +82,40 @@ def mixture_cdf(law, x, nodes=256):
     return float(out) if out.ndim == 0 else out
 
 
+def _max_survival(u, counts):
+    """Survival 1 - G(M) of the maximum M of ``counts`` draws with G(M)^counts = u.
+
+    ``-expm1(log(u)/N)`` keeps full precision where ``1 - u**(1/N)`` would
+    cancel; u = 0 gives survival 1, the lower endpoint of the base law.
+    """
+    with np.errstate(divide="ignore"):
+        return -np.expm1(np.log(u) / counts)
+
+
 def sample_random_max(scheme, base, rng, size=None):
     """Componentwise maximum of N_theta independent draws from ``base``.
 
-    The count is drawn first; exactly that many base values are then drawn
-    and maximized, so for every theta the sample has d.f. P_theta(G(x)).
+    The count is drawn first, then the maximum by inverting G^N in survival
+    space, so for every theta the sample has d.f. P_theta(G(x)) at a cost
+    independent of N.  A tuple base inverts each coordinate given the shared
+    count.  Count and maximum uniforms come from the same positions of the
+    stream at every theta, so smaller theta gives pathwise larger draws.
     """
     rng = as_generator(rng)
-    counts = np.atleast_1d(scheme.sample(rng, size if size is not None else 1))
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    total = int(counts.sum())
+    n = 1 if size is None else size
+    counts = np.atleast_1d(scheme.sample(rng, n))
     if isinstance(base, tuple):
-        u = rng.random((total, len(base)))
-        draws = np.column_stack([b.ppf(u[:, i]) for i, b in enumerate(base)])
-        out = np.stack([np.maximum.reduceat(draws[:, i], offsets) for i in range(len(base))], axis=-1)
+        s = _max_survival(rng.random((n, len(base))), counts[:, None])
+        out = np.column_stack([b.isf(s[:, i]) for i, b in enumerate(base)])
     else:
-        draws = base.ppf(rng.random(total))
-        out = np.maximum.reduceat(draws, offsets)
+        out = base.isf(_max_survival(rng.random(n), counts))
     return out[0] if size is None else out
 
 
 def sample_random_max_seeded(scheme, base, seed, n, threads=1):
     """Chunked, thread-count-independent version of ``sample_random_max``."""
     return chunked_draws(
-        seed,
-        n,
-        lambda rng, m: sample_random_max(scheme, base, rng, m),
-        threads=threads,
-        chunk=CHUNK_HEAVY,
+        seed, n, lambda rng, m: sample_random_max(scheme, base, rng, m), threads=threads
     )
 
 

@@ -18,13 +18,15 @@ from .errors import ConfigurationError
 # Fixed chunk sizes (draws per substream).  These are part of the
 # reproducibility contract: changing them changes the stream assignment.
 CHUNK_DRAWS = 10_000
-CHUNK_HEAVY = 1_000
 CHUNK_PATHS = 100
 
 
 def check_seed(seed):
     """Validate and normalize a 64-bit seed."""
-    seed = int(seed)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+import randmax.cli
 from randmax.cli import emit_csv, main
 from randmax.verify_harness import Table
 
@@ -208,9 +211,54 @@ def test_count_beyond_int64_exits_two(tmp_path, capsys, family):
     assert not (out / "count.csv").exists()
 
 
-def test_unallocatable_sample_exits_one(tmp_path, capsys):
-    # about 3.6e14 base draws: more than any address space, so refused at once
-    code, _ = run(["sample", "randmax", "--theta", "1e-15", "--n", "1", "--seed", "1"], tmp_path)
+def test_tiny_theta_sample_is_one_finite_row(tmp_path):
+    # a count near 1e15 costs one uniform like any other: no base draws are stored
+    code, out = run(["sample", "randmax", "--theta", "1e-15", "--n", "1", "--seed", "1"], tmp_path)
+    assert code == 0
+    lines = (out / "randmax.csv").read_text().splitlines()
+    assert len(lines) == 2
+    value = float(lines[1].split(",")[1])
+    assert math.isfinite(value) and value >= 1.0
+
+
+def test_unallocatable_sample_exits_one(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.57 PiB")
+
+    monkeypatch.setattr(randmax.cli, "sample_random_max_seeded", refuse)
+    code, out = run(["sample", "randmax", "--theta", "0.5", "--n", "1", "--seed", "1"], tmp_path)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not (out / "randmax.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", str(2**64)])
+def test_bad_env_seed_exits_two(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("RANDMAX_SEED", value)
+    code, out = run(["sample", "count", "--theta", "0.5"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $RANDMAX_SEED: seed must be") and err.count("\n") == 1
+    assert not (out / "count.csv").exists()
+
+
+def test_out_of_range_seed_flag_exits_two_without_randomness(tmp_path, capsys):
+    # the seed is checked even where no random draw would read it
+    code, _ = run(["verify", "poincare", "--seed", "-1"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a 64-bit unsigned integer")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "extremal-marginal", "--t", "nan"], "time must be finite and positive"),
+    (["sample", "extremal-marginal", "--t", "inf"], "time must be finite and positive"),
+    (["extremal", "path", "--horizon", "nan"], "horizon must be finite and positive"),
+    (["extremal", "path", "--horizon", "inf"], "horizon must be finite and positive"),
+])
+def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
+    code, out = run(argv + ["--seed", "1"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()

@@ -20,9 +20,11 @@ from randmax import (
     UnitExponential,
     ks_critical,
     ks_distance,
+    ks_two_sample,
     mixture_cdf,
     nmid_cdf,
     same_type_decompose,
+    sample_base,
     sample_random_max,
     sample_random_max_seeded,
     substream,
@@ -177,17 +179,19 @@ def test_random_max_near_limit():
 
 
 def test_random_max_monotone_coupling():
-    # smaller theta gives a stochastically larger maximum
+    # smaller theta gives a stochastically larger maximum, and pathwise so:
+    # the count and maximum uniforms sit at the same stream positions
     base = Pareto(1.0)
     grid = np.asarray(Frechet.grid)
-    previous = None
+    previous = previous_draws = None
     for theta in (0.5, 0.1, 0.01):
         scheme = CountScheme(GEOMETRIC, theta)
         draws = sample_random_max_seeded(scheme, base, seed=36, n=100_000)
         current = np.asarray([(draws <= x).mean() for x in grid])
         if previous is not None:
             assert np.all(current <= previous + 1e-12)
-        previous = current
+            assert np.all(draws >= previous_draws)
+        previous, previous_draws = current, draws
 
 
 def test_random_max_product_base():
@@ -195,6 +199,35 @@ def test_random_max_product_base():
     pair = sample_random_max(scheme, (Pareto(1.0), UnitExponential()), substream(37), 2_000)
     assert pair.shape == (2_000, 2)
     assert abs((pair[:, 0] <= 2.0).mean() - 1.0 / 3.0) < 0.04
+
+
+def literal_random_max(scheme, base, rng, size):
+    """The definition itself: draw N_theta, then maximize that many base draws."""
+    counts = scheme.sample(rng, size)
+    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return np.maximum.reduceat(sample_base(base, rng, int(counts.sum())), offsets, axis=0)
+
+
+@pytest.mark.parametrize("base", [Pareto(1.0), (Pareto(1.0), UnitExponential())],
+                         ids=["pareto", "pareto-exponential"])
+@pytest.mark.parametrize("theta", [0.1, 0.01])
+def test_random_max_matches_literal_construction(base, theta):
+    scheme = CountScheme(GEOMETRIC, theta)
+    n = 20_000
+    fast = sample_random_max(scheme, base, substream(39), n)
+    slow = literal_random_max(scheme, base, substream(40), n)
+    assert fast.shape == slow.shape
+    critical = ks_critical(n / 2)  # two samples of size n
+    for a, b in zip(np.atleast_2d(fast.T), np.atleast_2d(slow.T)):
+        assert ks_two_sample(a, b) < critical
+
+
+def test_random_max_survival_accuracy_at_large_count():
+    # N = 10^8 exactly; G(M)^N = (1 - 1/M)^N must give back the uniform U
+    n = 10**8
+    u = substream(41).random(1_000)  # the degenerate count consumes no uniforms
+    draws = sample_random_max(CountScheme(DEGENERATE, 1.0 / n), Pareto(1.0), substream(41), 1_000)
+    assert np.abs(np.exp(n * np.log1p(-1.0 / draws)) - u).max() < 1e-12
 
 
 def test_random_max_scalar_draw():
