@@ -29,11 +29,13 @@ from .evd_core import (
 )
 from .extremal_proc import (
     ExtremalPath,
+    PathColumns,
     SubordinationReport,
     default_floor,
     marginal_cdf,
     sample_Y_at_time,
     simulate_path,
+    simulate_path_columns,
     simulate_paths,
     verify_subordination,
 )

@@ -29,7 +29,7 @@ from .evd_core import (
     ReverseWeibull,
     standard_triple,
 )
-from .extremal_proc import sample_Y_at_time, simulate_paths
+from .extremal_proc import sample_Y_at_time, simulate_path_columns
 from .lt_families import CountScheme, Degenerate, Geometric, MittagLeffler
 from .nmid_compose import sample_random_max_seeded
 from .streams import check_seed, chunked_draws
@@ -155,8 +155,12 @@ def _splice_config(argv):
 
 
 def emit_csv(table, path):
-    """Write one table as CSV: header row, then data rows, newline \\n."""
-    Path(path).write_text(table.csv_text(), encoding="utf-8")
+    """Write one table as CSV: header row, then data rows, newline \\n.
+
+    The text is streamed in blocks of rows, never held whole in memory.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(table.csv_blocks())
 
 
 def _write_report(report, outdir):
@@ -190,14 +194,13 @@ def _resolve_seed(args):
 
 
 def _sample_table(values, name):
-    values = np.atleast_1d(values)
+    values = np.atleast_1d(np.asarray(values, dtype=float))
     if values.ndim == 1:
-        columns = ("index", "value")
-        rows = tuple((i, float(v)) for i, v in enumerate(values))
+        columns, data = ("index", "value"), (values,)
     else:
         columns = ("index",) + tuple(f"x{i}" for i in range(values.shape[1]))
-        rows = tuple((i, *map(float, row)) for i, row in enumerate(values))
-    return Table(name=name, columns=columns, rows=rows)
+        data = tuple(values.T)
+    return Table(name, columns, (np.arange(len(values)),) + data)
 
 
 def _tabulate_draws(args, seed, name, draw):
@@ -207,15 +210,11 @@ def _tabulate_draws(args, seed, name, draw):
 
 def _extremal_paths(args, seed):
     law = MaxStableLaw((parse_marginal(args.marginal),))
-    paths = simulate_paths(
+    paths = simulate_path_columns(
         law, args.horizon, args.paths, seed, floor=args.floor, threads=args.threads
     )
-    rows = tuple(
-        (pid, float(t), float(s))
-        for pid, path in enumerate(paths)
-        for t, s in zip(path.times, path.states)
-    )
-    return Table(name="path", columns=("path_id", "time", "state"), rows=rows)
+    path_id = np.repeat(np.arange(args.paths), paths.counts)
+    return Table("path", ("path_id", "time", "state"), (path_id, paths.times, paths.states))
 
 
 class Flag(NamedTuple):

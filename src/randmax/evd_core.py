@@ -321,10 +321,16 @@ class Pareto:
         return apply_scalar(x, f)
 
     def ppf(self, u):
-        return apply_scalar(u, lambda u: (1.0 - u) ** (-1.0 / self.alpha))
+        return self.isf(1.0 - np.asarray(u, dtype=float))
 
     def isf(self, s):
-        return apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
+        try:
+            with np.errstate(over="raise"):
+                return apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
+        except FloatingPointError:
+            raise DomainError(
+                f"{self.name} quantile beyond the float range (above {np.finfo(float).max:.6g})"
+            ) from None
 
     def norming(self, n):
         return n ** (1.0 / self.alpha), 0.0

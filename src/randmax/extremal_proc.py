@@ -3,11 +3,13 @@
 An extremal process driven by a max-stable law has marginals
 P(Y(t) <= x) = exp(-t V(x)).  Trajectories are resolved above an explicit
 floor y0 (the exponent measure is infinite near the lower corner, so some
-floor is unavoidable): the process first exceeds the floor at an
-exponential time with rate V(y0), and from state y the holding time is
-exponential with rate V(y) while the next state W satisfies
-P(W <= w | W > y) = 1 - V(w)/V(y), a Pareto jump above y for Frechet
-marginals.
+floor is unavoidable).  In V-space the jump chain is the same for every
+marginal type: the process first exceeds the floor at an exponential time
+with rate V0 = V(y0); from the level V_k it holds for an exponential time
+with rate V_k and jumps to V_{k+1} = V_k U_k with U_k uniform on (0, 1),
+since P(W <= w | W > y) = 1 - V(w)/V(y).  So t_{k+1} = t_k + E_k / V_k,
+and the states are the levels mapped back through ``vinv``.  All paths of
+a substream chunk advance together, one jump index at a time.
 
 Evaluating the process at an independent random time Z drawn from the
 mixer (the variable whose Laplace transform is phi) reproduces the
@@ -17,12 +19,13 @@ the conditional law given Z, never through path simulation.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, Frechet, MaxStableLaw
-from .streams import as_generator, chunked_draws, chunked_list
+from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, MaxStableLaw
+from .streams import as_generator, chunked_draws, chunked_list, open_uniform
 
 
 @dataclass
@@ -47,6 +50,25 @@ class ExtremalPath:
         return float(self.states[-1]) if self.n_jumps else self.floor
 
 
+class PathColumns(NamedTuple):
+    """Paths stored column-wise: path i owns the next ``counts[i]`` entries of
+    the flat ``times`` and ``states``, in jump order."""
+
+    counts: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
+    horizon: float
+    floor: float
+
+    def paths(self):
+        """One ``ExtremalPath`` per path, viewing the flat columns."""
+        cuts = np.cumsum(self.counts)[:-1]
+        return [
+            ExtremalPath(times, states, self.horizon, self.floor)
+            for times, states in zip(np.split(self.times, cuts), np.split(self.states, cuts))
+        ]
+
+
 def default_floor(marginal, horizon, mass=1e-3):
     """Floor at the ``mass`` quantile of Y(t0) with t0 = horizon/1000."""
     t0 = horizon / 1000.0
@@ -62,48 +84,76 @@ def marginal_cdf(law, t, x):
     return float(np.exp(-t * v)) if np.isscalar(v) else np.exp(-t * v)
 
 
-def simulate_path(law, horizon, rng, floor=None):
-    """Exact jump-chain realization of a Frechet extremal process (d = 1)."""
+def _path_marginal(law, horizon, floor):
+    """The marginal of a univariate ``law``, the floor y0 and V0 = V(y0), all checked."""
     if not (isinstance(law, MaxStableLaw) and law.dim == 1):
         raise ConfigurationError("path simulation is implemented for dimension 1 only")
-    m = law.marginals[0]
-    if not isinstance(m, Frechet):
-        raise ConfigurationError(
-            "path simulation is implemented for Frechet marginals only; "
-            "marginal-law sampling covers the other types"
-        )
     if not 0.0 < horizon < np.inf:
         raise DomainError(f"horizon must be finite and positive, got {horizon}")
+    m = law.marginals[0]
     y0 = default_floor(m, horizon) if floor is None else float(floor)
-    if not y0 > m.lower:
-        raise DomainError(f"floor must lie above the lower endpoint {m.lower}")
-    rng = as_generator(rng)
-    times, states = [], []
-    y = y0
-    t = rng.exponential(1.0 / m.v(y0))
-    while t <= horizon:
-        u = rng.random()
-        if u == 0.0:
-            u = 2.0**-53  # keep the jump finite and strictly above y
-        y = m.vinv(m.v(y) * u)
-        times.append(t)
-        states.append(y)
-        t += rng.exponential(1.0 / m.v(y))
-    return ExtremalPath(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        horizon=float(horizon),
-        floor=y0,
+    v0 = m.v(y0)
+    if not 0.0 < v0 < np.inf:
+        raise DomainError(f"floor must lie inside the support, where 0 < V(floor) < inf; got {y0}")
+    return m, y0, v0
+
+
+def _jump_chain(marginal, v0, horizon, rng, n):
+    """Jump counts, then flat jump times and states, of ``n`` paths started at level ``v0``.
+
+    Jump index k of every path still below the horizon is drawn at once: a
+    block of uniforms for the levels, then a block of exponentials for the
+    next jump times.  The levels are mapped to states once, at the end.
+    """
+    # an overflowing time lies past the horizon; an overflowing state is caught below
+    with np.errstate(over="ignore", divide="ignore"):
+        ids, t, v = np.arange(n), rng.exponential(size=n) / v0, np.full(n, v0)
+        jumps = [(ids[:0], t[:0], v[:0])]
+        while True:
+            alive = t <= horizon
+            ids, t, v = ids[alive], t[alive], v[alive]
+            if not ids.size:
+                break
+            v = v * open_uniform(rng, ids.size)
+            jumps.append((ids, t, v))
+            t = t + rng.exponential(size=ids.size) / v
+        ids, t, v = (np.concatenate(c) for c in zip(*jumps))
+        order = np.argsort(ids, kind="stable")  # path by path, each in jump order
+        states = marginal.vinv(v[order])
+    # a subnormal level may repeat, and an infinite state is no number
+    if not (np.all(v >= np.finfo(float).tiny) and np.all(np.isfinite(states))):
+        raise DomainError(
+            "a path state lies beyond the float range (a level V below "
+            f"{np.finfo(float).tiny:.6g} or a state beyond {np.finfo(float).max:.6g})"
+        )
+    return np.bincount(ids, minlength=n), t[order], states
+
+
+def simulate_path(law, horizon, rng, floor=None):
+    """Exact jump-chain realization of a univariate extremal process on (0, horizon].
+
+    Any marginal type: the chain runs in V-space from V0 = V(floor), with
+    V_{k+1} = V_k U_k and t_{k+1} = t_k + E_k / V_k, and each level is
+    mapped back to a state through ``vinv``.
+    """
+    m, y0, v0 = _path_marginal(law, horizon, floor)
+    _, times, states = _jump_chain(m, v0, horizon, as_generator(rng), 1)
+    return ExtremalPath(times=times, states=states, horizon=float(horizon), floor=y0)
+
+
+def simulate_path_columns(law, horizon, n_paths, seed, floor=None, threads=1):
+    """``n_paths`` independent paths as ``PathColumns``, one substream chunk at a time."""
+    m, y0, v0 = _path_marginal(law, horizon, floor)
+    chunks = chunked_list(
+        seed, n_paths, lambda rng, n: [_jump_chain(m, v0, horizon, rng, n)], threads=threads
     )
+    counts, times, states = (np.concatenate(c) for c in zip(*chunks))
+    return PathColumns(counts, times, states, float(horizon), y0)
 
 
 def simulate_paths(law, horizon, n_paths, seed, floor=None, threads=1):
     """Independent paths from counter-split substreams, in a fixed order."""
-
-    def build(rng, m):
-        return [simulate_path(law, horizon, rng, floor=floor) for _ in range(m)]
-
-    return chunked_list(seed, n_paths, build, threads=threads)
+    return simulate_path_columns(law, horizon, n_paths, seed, floor, threads).paths()
 
 
 def sample_Y_at_time(law, t, rng, size=None):

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
-from .streams import as_generator, chunked_draws
+from .streams import as_generator, chunked_draws, open_uniform
 
 
 class LaplaceFamily:
@@ -279,7 +279,7 @@ def sample_positive_stable(nu, rng, size=None):
     if not 0.0 < nu < 1.0:
         raise ConfigurationError(f"stable order must be in (0, 1), got {nu}")
     rng = as_generator(rng)
-    w = np.pi * rng.random(size)
+    w = np.pi * open_uniform(rng, size)  # W = 0 would give sin(0)/sin(0)
     e = rng.exponential(size=size)
     a = (
         np.sin(nu * w) ** nu * np.sin((1.0 - nu) * w) ** (1.0 - nu) / np.sin(w)

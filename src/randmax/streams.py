@@ -47,6 +47,15 @@ def as_generator(rng):
     return substream(rng, 0)
 
 
+def open_uniform(rng, size=None):
+    """Uniforms on the open interval (0, 1).
+
+    ``rng.random`` draws from the grid k * 2**-53, k < 2**53; its one value
+    0 moves to 2**-54 and every other draw is returned unchanged.
+    """
+    return np.maximum(rng.random(size), 2.0**-54)
+
+
 def _map_chunks(seed, n, job, threads, chunk, what):
     """Ordered results of ``job(rng, m)`` over the fixed-size substream chunks of ``n`` items.
 

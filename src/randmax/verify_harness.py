@@ -83,28 +83,67 @@ def format_value(value):
     return str(value)
 
 
+def _cells(column):
+    """A printf spec and the values it renders as ``format_value`` would.
+
+    A numeric array is converted to Python numbers in one pass; any other
+    column is formatted cell by cell.
+    """
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind in ("i", "u"):
+        return "%d", column.tolist()
+    if kind == "f":
+        return "%.17g", column.tolist()
+    return "%s", list(map(format_value, column))
+
+
+class _Rows:
+    """The rows of a column-wise table, as tuples made on iteration."""
+
+    def __init__(self, data):
+        self._data = data
+
+    def __len__(self):
+        return len(self._data[0]) if self._data else 0
+
+    def __iter__(self):
+        return zip(*self._data)
+
+
+CSV_BLOCK_ROWS = 4096  # rows formatted at a time, which bounds the memory of a CSV write
+
+
 @dataclass(frozen=True)
 class Table:
-    """A named rectangular table; renders to CSV deterministically."""
+    """A named table held column-wise: one array or sequence per column."""
 
     name: str
     columns: tuple
-    rows: tuple
+    data: tuple
+
+    @classmethod
+    def from_rows(cls, name, columns, rows):
+        return cls(name, tuple(columns), tuple(zip(*rows)) or ((),) * len(columns))
+
+    @property
+    def rows(self):
+        return _Rows(self.data)
+
+    def csv_blocks(self):
+        """The CSV text in pieces: the header line, then ``CSV_BLOCK_ROWS`` rows at a time."""
+        yield ",".join(self.columns) + "\n"
+        for start in range(0, len(self.rows), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            specs, cells = zip(*(_cells(column[block]) for column in self.data))
+            yield "".join(map((",".join(specs) + "\n").__mod__, zip(*cells)))
 
     def csv_text(self):
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_blocks())
 
 
 def convergence_table(rows, name="convergence"):
     """Rows (n, sup deterministic gap, sup random gap)."""
-    return Table(
-        name=name,
-        columns=("n", "sup_gap_deterministic", "sup_gap_random"),
-        rows=tuple(tuple(r) for r in rows),
-    )
+    return Table.from_rows(name, ("n", "sup_gap_deterministic", "sup_gap_random"), rows)
 
 
 @dataclass(frozen=True)
@@ -159,7 +198,7 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDE
             residual = abs(family.pgf(theta, family.lt(theta * s)) - family.lt(s))
             worst = max(worst, residual)
             rows.append((theta, s, residual))
-    table = Table(name="residuals", columns=("theta", "s", "residual"), rows=tuple(rows))
+    table = Table.from_rows(name="residuals", columns=("theta", "s", "residual"), rows=rows)
     return _report(
         name="poincare",
         params={"family": family.name, "tolerance": tol},
@@ -173,7 +212,7 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDE
 def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1):
     """Scaled-count convergence: theta*N_theta against the mixer law."""
     result = verify_lemma12(family, theta, n, seed, threshold=threshold, threads=threads)
-    table = Table(
+    table = Table.from_rows(
         name="distance",
         columns=("theta", "n", "distance", "threshold"),
         rows=((result.theta, result.n, result.distance, result.threshold),),
@@ -202,7 +241,7 @@ def run_definetti(family, triple, ns=DEFAULT_NS, grid=None, tol=1e-3):
         rows.append((int(n), gap))
     gaps = [r[1] for r in rows]
     monotone = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
-    table = Table(name="gaps", columns=("n", "sup_gap"), rows=tuple(rows))
+    table = Table.from_rows(name="gaps", columns=("n", "sup_gap"), rows=rows)
     return _report(
         name="definetti",
         params={"family": family.name, "triple": triple.name, "tolerance": tol},
@@ -289,7 +328,7 @@ def run_thm31(family, law, thetas=POINCARE_THETAS, grid=None, tol=IDENTITY_TOL):
         for scale, shift in rep.norming:
             row += [scale, shift]
         rows.append(tuple(row))
-    table = Table(name="decomposition", columns=tuple(columns), rows=tuple(rows))
+    table = Table.from_rows(name="decomposition", columns=tuple(columns), rows=rows)
     return _report(
         name="thm31",
         params={"family": family.name, "dim": dim, "tolerance": tol},
@@ -306,7 +345,7 @@ def run_thm32(family, law, n, seed, threads=1):
 
     nlaw = NMaxStableLaw(family, law)
     result = verify_subordination(nlaw, n, seed, threads=threads)
-    table = Table(
+    table = Table.from_rows(
         name="grid",
         columns=("coordinate", "x", "empirical", "analytic"),
         rows=result.table,
@@ -357,7 +396,7 @@ def run_thm34(
 
     analytic_ok = gaps.tail_gap < tol and random_gap < tol
     ks_ok = distance < critical + allowance
-    table = Table(
+    table = Table.from_rows(
         name="gaps",
         columns=("n", "tail_gap", "cdf_gap", "random_gap"),
         rows=((gaps.n, gaps.tail_gap, gaps.cdf_gap, random_gap),),
@@ -387,7 +426,7 @@ def run_doa_table(triple, ns=DEFAULT_NS, grid=None):
     monotone = all(
         rows[i + 1][2] <= rows[i][2] + 1e-12 for i in range(len(rows) - 1)
     )
-    table = Table(name="gaps", columns=("n", "tail_gap", "cdf_gap"), rows=tuple(rows))
+    table = Table.from_rows(name="gaps", columns=("n", "tail_gap", "cdf_gap"), rows=rows)
     return _report(
         name="doa",
         params={"triple": triple.name},

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import randmax.cli
 from randmax.cli import emit_csv, main
-from randmax.verify_harness import Table
+from randmax.verify_harness import CSV_BLOCK_ROWS, Table, format_value
 
 
 def run(argv, tmp_path, sub=""):
@@ -163,6 +164,22 @@ def test_extremal_path_explicit_floor(tmp_path):
     assert all(float(line.split(",")[2]) > 0.5 for line in lines)
 
 
+@pytest.mark.parametrize("marginal", ["gumbel", "reverse-weibull:2"])
+def test_extremal_path_other_marginals(tmp_path, marginal):
+    argv = ["extremal", "path", "--marginal", marginal, "--paths", "300", "--seed", "6"]
+    code1, out1 = run(argv + ["--threads", "1"], tmp_path, "1")
+    code2, out2 = run(argv + ["--threads", "2"], tmp_path, "2")
+    assert code1 == code2 == 0
+    assert read(out1 / "path.csv") == read(out2 / "path.csv")
+    lines = (out1 / "path.csv").read_text().splitlines()
+    assert lines[0] == "path_id,time,state"
+    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    same = data[1:, 0] == data[:-1, 0]
+    assert np.all(np.diff(data[:, 0]) >= 0.0) and same.any()
+    assert np.all(np.diff(data[:, 1])[same] > 0.0)
+    assert np.all(np.diff(data[:, 2])[same] > 0.0)
+
+
 def test_table_doa(tmp_path):
     code, out = run(["table", "doa", "--triple", "exponential"], tmp_path)
     assert code == 0
@@ -187,8 +204,20 @@ def test_sample_bivariate_marginal(tmp_path):
 
 def test_emit_csv_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(Table(name="empty", columns=("a", "b", "c"), rows=()), path)
+    emit_csv(Table.from_rows(name="empty", columns=("a", "b", "c"), rows=()), path)
     assert path.read_text() == "a,b,c\n"
+
+
+def test_emit_csv_streams_the_row_wise_text(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    columns = (np.arange(n), rng.standard_normal(n), rng.random(n) < 0.5,
+               tuple(("a", 1, 2.5, None)[i % 4] for i in range(n)))
+    path = tmp_path / "t.csv"
+    emit_csv(Table("t", ("i", "x", "flag", "mixed"), columns), path)
+    rows = (",".join(format_value(v) for v in row) + "\n" for row in zip(*columns))
+    same = path.read_text() == "i,x,flag,mixed\n" + "".join(rows)
+    assert same  # a bool, so a failure prints no diff of 8000 lines
 
 
 def test_help_lists_experiments(capsys):
@@ -219,6 +248,18 @@ def test_tiny_theta_sample_is_one_finite_row(tmp_path):
     assert len(lines) == 2
     value = float(lines[1].split(",")[1])
     assert math.isfinite(value) and value >= 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_random_max_beyond_float_range_exits_two(tmp_path, capsys):
+    # the maxima lie near 10^1500; they must not be written as inf
+    argv = ["sample", "randmax", "--theta", "1e-15", "--base", "pareto:0.01", "--n", "3",
+            "--seed", "1"]
+    code, out = run(argv, tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
+    assert not (out / "randmax.csv").exists()
 
 
 def test_unallocatable_sample_exits_one(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from randmax import (
     nmid_cdf,
     sample_Y_at_time,
     simulate_path,
+    simulate_path_columns,
     simulate_paths,
     substream,
     univariate,
@@ -83,15 +84,15 @@ def test_path_monotone_and_in_horizon():
 
 def test_path_rejects_unsupported():
     with pytest.raises(ConfigurationError):
-        simulate_path(univariate(Gumbel()), 1.0, substream(41))
-    with pytest.raises(ConfigurationError):
-        simulate_path(univariate(ReverseWeibull(1.0)), 1.0, substream(41))
-    with pytest.raises(ConfigurationError):
         simulate_path(MaxStableLaw((Frechet(1.0), Frechet(1.0))), 1.0, substream(41))
     with pytest.raises(DomainError):
         simulate_path(FRECHET1, -1.0, substream(41))
     with pytest.raises(DomainError):
         simulate_path(FRECHET1, 1.0, substream(41), floor=-0.5)
+    with pytest.raises(DomainError):
+        simulate_path(FRECHET1, 1.0, substream(41), floor=float("nan"))
+    with pytest.raises(DomainError):  # V = 0 at and above the upper endpoint
+        simulate_path(univariate(ReverseWeibull(2.0)), 1.0, substream(41), floor=0.5)
 
 
 def test_path_terminal_probability_horizon_ten():
@@ -117,6 +118,46 @@ def test_path_jump_count_matches_record_law():
     assert oracle == pytest.approx(0.7966, abs=1e-4)
     se = counts.std() / math.sqrt(counts.size)
     assert abs(counts.mean() - oracle) < 3.0 * se
+
+
+@pytest.mark.parametrize("marginal", [Gumbel(), ReverseWeibull(2.0)], ids=repr)
+def test_other_marginal_paths(marginal):
+    law = univariate(marginal)
+    horizon = 2.0
+    paths = simulate_paths(law, horizon, 10_000, seed=47)
+    floor = paths[0].floor
+    for path in paths:
+        assert np.all(np.diff(path.states) > 0.0)
+        assert np.all(np.diff(path.times) > 0.0)
+        assert np.all(path.states > floor)
+        assert np.all((path.times > 0.0) & (path.times <= horizon))
+    finals = np.sort([p.final_state() for p in paths])
+    distance = ks_distance(finals, lambda x: marginal_cdf(law, horizon, x))
+    assert distance < ks_critical(10_000)
+
+
+def test_path_columns_match_path_views():
+    columns = simulate_path_columns(FRECHET1, 1.0, 250, seed=48)
+    paths = simulate_paths(FRECHET1, 1.0, 250, seed=48)
+    assert columns.counts.sum() == columns.times.size == columns.states.size
+    assert [p.n_jumps for p in paths] == columns.counts.tolist()
+    assert np.array_equal(np.concatenate([p.times for p in paths]), columns.times)
+    assert np.array_equal(np.concatenate([p.states for p in paths]), columns.states)
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_states_beyond_float_range_rejected():
+    # at horizon 1e300 the last levels are near 1e-300: still normal floats
+    for marginal in (Frechet(1.0), Gumbel()):
+        path = simulate_path(univariate(marginal), 1e300, substream(49))
+        assert path.n_jumps > 0 and np.all(np.isfinite(path.states))
+    # at 1e308 levels near 1e-308 turn subnormal and states 1/V overflow
+    with pytest.raises(DomainError, match="float range"):
+        simulate_paths(FRECHET1, 1e308, 50, seed=49)
+    # states V^(-100) exceed 1.8e308 once a level falls below about 8e-4,
+    # which by time 1e4 nearly every path has done
+    with pytest.raises(DomainError, match="float range"):
+        simulate_paths(univariate(Frechet(0.01)), 1e4, 50, seed=49, floor=1.0)
 
 
 def test_path_seed_determinism():

@@ -216,6 +216,20 @@ def test_positive_stable_transform():
         sample_positive_stable(1.2, substream(9), 10)
 
 
+class ZeroUniforms(np.random.Generator):
+    """A generator whose uniforms are all 0.0, the one value Kanter's W must avoid."""
+
+    def random(self, size=None):
+        return np.zeros(size) if size is not None else 0.0
+
+
+def test_positive_stable_at_zero_uniform_is_finite():
+    rng = ZeroUniforms(np.random.PCG64(9))
+    for nu in (0.3, 0.5, 0.7):
+        assert np.isfinite(sample_positive_stable(nu, rng))
+        assert np.all(np.isfinite(sample_positive_stable(nu, rng, 4)))
+
+
 def test_mixer_cdf_and_unsupported():
     g = Geometric()
     assert g.mixer_cdf(0.0) == 0.0

@@ -27,6 +27,7 @@ from randmax import (
     univariate,
 )
 from randmax.evd_core import Frechet
+from randmax.verify_harness import CSV_BLOCK_ROWS, format_value
 
 PARETO1 = standard_triple("pareto", 1.0)
 EXPONENTIAL = standard_triple("exponential")
@@ -276,14 +277,53 @@ def test_reports_are_byte_identical_given_seed():
 
 
 def test_table_csv_shape():
-    empty = Table(name="t", columns=("a", "b"), rows=())
+    empty = Table.from_rows(name="t", columns=("a", "b"), rows=())
     assert empty.csv_text() == "a,b\n"
-    four = Table(name="t", columns=("a",), rows=((1,), (2,), (3,), (4,)))
+    four = Table.from_rows(name="t", columns=("a",), rows=((1,), (2,), (3,), (4,)))
     assert four.csv_text().count("\n") == 5
     assert len(four.csv_text().splitlines()) == 5
 
 
 def test_csv_float_precision():
-    table = Table(name="t", columns=("x",), rows=((1.0 / 3.0,),))
+    table = Table.from_rows(name="t", columns=("x",), rows=((1.0 / 3.0,),))
     text = table.csv_text()
     assert "0.33333333333333331" in text
+
+
+def assert_same_text(text, expected):
+    """Equal texts; a failure names the first differing line, not a full diff."""
+    got, want = text.split("\n"), expected.split("\n")
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+    same = text == expected
+    assert same, f"line {first}: {got[first:first + 1]} != {want[first:first + 1]}"
+
+
+def test_column_writer_matches_format_value():
+    rng = np.random.default_rng(14)
+    i64 = np.iinfo(np.int64)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-300, -1e-300, 1.7976931348623157e308, 1.0 / 3.0, 1e16, 123456789.0]
+    # random bit patterns reach every class: NaNs, infinities, subnormals, normals
+    floats = np.concatenate([special, rng.integers(0, 2**64, 4000, np.uint64).view(np.float64)])
+    ints = np.concatenate([[i64.min, i64.max, -1, 0, 1],
+                           rng.integers(i64.min, i64.max, 1000, endpoint=True)])
+    columns = [
+        floats,
+        rng.integers(0, 2**32, 1000, np.uint32).view(np.float32),
+        ints,
+        ints.astype(np.int32),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+        np.array([True, False, True]),
+        (1, 2.5, True, np.float32(0.1), np.int8(-3), np.bool_(False), "5%d", -0.0, float("nan")),
+        (),
+        np.empty(0),
+    ]
+    for column in columns:
+        expected = "".join(format_value(v) + "\n" for v in column)
+        assert_same_text(Table("t", ("c",), (column,)).csv_text(), "c\n" + expected)
+    # more than two blocks of rows, so block edges are crossed
+    f, i = np.resize(floats, 2 * CSV_BLOCK_ROWS + 1), np.resize(ints, 2 * CSV_BLOCK_ROWS + 1)
+    expected = "".join(f"{format_value(a)},{format_value(b)}\n" for a, b in zip(f, i))
+    assert_same_text(Table("t", ("f", "i"), (f, i)).csv_text(), "f,i\n" + expected)
+    assert Table("t", ("f", "i"), (np.empty(0), ())).csv_text() == "f,i\n"
