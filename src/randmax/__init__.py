@@ -9,7 +9,6 @@ reproducible experiments.
 from .errors import ConfigurationError, DomainError, RandmaxError
 from .evd_core import (
     AttractionTriple,
-    ExponentMeasure,
     Frechet,
     Gumbel,
     MaxStableLaw,
@@ -19,9 +18,6 @@ from .evd_core import (
     StdUniform,
     UnitExponential,
     doa_gap,
-    exponent_measure,
-    ms_cdf,
-    poisson_max_cdf,
     sample_base,
     standard_points,
     standard_triple,
@@ -30,35 +26,23 @@ from .evd_core import (
 from .extremal_proc import (
     ExtremalPath,
     PathColumns,
-    SubordinationReport,
     default_floor,
     marginal_cdf,
     sample_Y_at_time,
     simulate_path,
     simulate_path_columns,
     simulate_paths,
-    verify_subordination,
 )
 from .lt_families import (
     CountScheme,
     Degenerate,
     Geometric,
-    Lemma12Report,
-    Mixer,
     MittagLeffler,
-    lt_eval,
-    lt_inverse,
-    pgf_theta,
-    sample_count,
-    sample_mixer,
     sample_positive_stable,
-    verify_lemma12,
 )
 from .nmid_compose import (
-    DecompositionReport,
     NMaxStableLaw,
     mixture_cdf,
-    nmid_cdf,
     same_type_decompose,
     sample_random_max,
     sample_random_max_seeded,

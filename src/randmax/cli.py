@@ -77,14 +77,22 @@ def make_family(args):
     )
 
 
+def _parse_shape(spec, param):
+    """The number after ``kind:`` in ``spec`` (1 when absent)."""
+    try:
+        return float(param) if param else 1.0
+    except ValueError:
+        raise ConfigurationError(f"expected a number after ':' in {spec!r}") from None
+
+
 def parse_marginal(spec):
     kind, _, param = spec.lower().partition(":")
     if kind == "frechet":
-        return Frechet(float(param) if param else 1.0)
+        return Frechet(_parse_shape(spec, param))
     if kind == "gumbel":
         return Gumbel()
     if kind in ("reverse-weibull", "weibull"):
-        return ReverseWeibull(float(param) if param else 1.0)
+        return ReverseWeibull(_parse_shape(spec, param))
     raise ConfigurationError(
         f"unknown marginal {spec!r}; expected frechet:a, gumbel, or reverse-weibull:a"
     )
@@ -104,40 +112,31 @@ def make_law(args):
 
 def parse_base(spec):
     kind, _, param = spec.lower().partition(":")
-    alpha = float(param) if param else 1.0
-    return standard_triple(kind, alpha)
+    return standard_triple(kind, _parse_shape(spec, param))
 
 
 def _splice_config(argv):
-    """Insert config-file values as flags right after the subcommand tokens.
+    """Split ``--config PATH`` (or ``--config=PATH``) off ``argv`` and read the file.
 
-    Explicit command-line flags appear later and therefore win.  Unknown
-    keys surface as unrecognized arguments (exit 2).
+    Returns the remaining argv and the file's ``key=value`` lines as a dict,
+    which ``build_parser`` turns into flag defaults, so explicit flags win.
     """
-    if "--config" not in " ".join(argv):
-        return argv
-    argv = list(argv)
-    path = None
-    cut = None
     for i, tok in enumerate(argv):
+        if tok.startswith("--config="):
+            path, rest = tok.split("=", 1)[1], argv[:i] + argv[i + 1:]
+            break
         if tok == "--config":
             if i + 1 >= len(argv):
                 raise ConfigurationError("--config needs a file path")
-            path = argv[i + 1]
-            cut = (i, i + 2)
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
             break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            cut = (i, i + 1)
-            break
-    if path is None:
-        return argv
-    del argv[cut[0]:cut[1]]
-    flags = []
+    else:
+        return argv, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}")
+    config = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -145,13 +144,8 @@ def _splice_config(argv):
         if "=" not in line:
             raise ConfigurationError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flags += [f"--{key}", value]
-    # keep verb and experiment tokens first
-    head = []
-    rest = list(argv)
-    while rest and not rest[0].startswith("-") and len(head) < 2:
-        head.append(rest.pop(0))
-    return head + flags + rest
+        config[key] = value
+    return rest, config
 
 
 def emit_csv(table, path):
@@ -351,7 +345,9 @@ EXPERIMENTS = {
 }
 
 
-def build_parser():
+def build_parser(config=None):
+    """The ``randmax`` parser; ``config`` maps flag names without ``--`` to default values."""
+    config = config or {}
     width = max(len(f"{verb} {name}") for verb, name in EXPERIMENTS) + 3
     guide = "experiments:\n" + "".join(
         f"  {f'{verb} {name}':<{width}}{experiment.description}\n"
@@ -372,24 +368,29 @@ def build_parser():
             )
         p = subparsers[verb].add_parser(name, help=experiment.description)
         for flag in experiment.flags + COMMON:
-            p.add_argument(flag.name, type=flag.type, default=flag.default,
-                           required=flag.required, help=flag.help)
+            key = flag.name[2:]
+            p.add_argument(flag.name, type=flag.type, default=config.get(key, flag.default),
+                           required=flag.required and key not in config, help=flag.help)
         p.set_defaults(run=experiment.run)
     return parser
 
 
 def main(argv=None):
     try:
-        argv = _splice_config(list(sys.argv[1:] if argv is None else argv))
+        argv, config = _splice_config(list(sys.argv[1:] if argv is None else argv))
     except ConfigurationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    parser = build_parser()
+    parser = build_parser(config)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        experiment = EXPERIMENTS[args.verb, args.experiment]
+        unknown = set(config) - {flag.name[2:] for flag in experiment.flags + COMMON}
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
         result = args.run(args, _resolve_seed(args))
         write = _write_samples if isinstance(result, Table) else _write_report
         return write(result, args.out)

@@ -151,11 +151,14 @@ class ReverseWeibull(_Marginal):
         return a, self.loc * (1.0 - a)
 
 
+def _check_positive(what, value):
+    if not 0.0 < value < np.inf:  # also rejects NaN
+        raise ConfigurationError(f"{what} must be finite and positive, got {value}")
+
+
 def _check_marginal(alpha, scale):
-    if alpha <= 0.0:
-        raise ConfigurationError(f"shape parameter must be positive, got {alpha}")
-    if scale <= 0.0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    _check_positive("shape parameter", alpha)
+    _check_positive("scale", scale)
 
 
 MARGINAL_TYPES = (Frechet, Gumbel, ReverseWeibull)
@@ -258,26 +261,6 @@ def univariate(marginal):
     return MaxStableLaw((marginal,))
 
 
-@dataclass(frozen=True)
-class ExponentMeasure:
-    """Lower corner and tail functional x -> mu([l, x]^c) of a max-stable law."""
-
-    lower: object
-    v: object
-
-
-def ms_cdf(law, x):
-    """Evaluate the max-stable d.f. H(x); 0 below the lower corner."""
-    return law.cdf(x)
-
-
-def exponent_measure(law):
-    """Exponent measure representation (lower corner, V) of a max-stable law."""
-    if not isinstance(law, MaxStableLaw):
-        raise ConfigurationError(f"expected a max-stable law, got {type(law).__name__}")
-    return ExponentMeasure(lower=law.lower, v=law.v)
-
-
 def standard_points(law):
     """Default evaluation grid of a law: marginal grid, or its product for d = 2."""
     if law.dim == 1:
@@ -304,8 +287,7 @@ class Pareto:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ConfigurationError(f"Pareto exponent must be positive, got {self.alpha}")
+        _check_positive("Pareto exponent", self.alpha)
 
     @property
     def name(self):
@@ -411,11 +393,6 @@ class PoissonMax:
         return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
 
 
-def poisson_max_cdf(a, base, x):
-    """CDF of the maximum of a Poisson(a) number of draws from ``base``."""
-    return PoissonMax(a, base).cdf(x)
-
-
 def sample_base(base, rng, size=None):
     """Inversion sampling from a base d.f. (or a tuple of bases, one per axis)."""
     rng = as_generator(rng)
@@ -455,17 +432,8 @@ class AttractionTriple:
         return self.base.norming(n)
 
 
-@dataclass(frozen=True)
-class DoaGap:
-    """Sup-norm gaps of a domain-of-attraction check at a given n."""
-
-    n: int
-    tail_gap: float
-    cdf_gap: float
-
-
 def doa_gap(triple, n, grid=None):
-    """Gaps sup |n(1 - G(a_n x + b_n)) - V(x)| and sup |G^n(a_n x + b_n) - H(x)|."""
+    """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     target = triple.target
@@ -475,7 +443,7 @@ def doa_gap(triple, n, grid=None):
     v = np.atleast_1d(target.v(pts))
     tail = float(np.abs(n * (1.0 - g) - v).max())
     cdf = float(np.abs(g**n - np.exp(-v)).max())
-    return DoaGap(n=int(n), tail_gap=tail, cdf_gap=cdf)
+    return tail, cdf
 
 
 def standard_triple(name, alpha=1.0):

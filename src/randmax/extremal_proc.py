@@ -13,7 +13,7 @@ a substream chunk advance together, one jump index at a time.
 
 Evaluating the process at an independent random time Z drawn from the
 mixer (the variable whose Laplace transform is phi) reproduces the
-count-mixed law phi(V(x)); ``verify_subordination`` checks this by a
+count-mixed law phi(V(x)); ``verify_harness.run_thm32`` checks this by a
 seeded Kolmogorov-Smirnov comparison.  Y(Z) is always sampled exactly via
 the conditional law given Z, never through path simulation.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, MaxStableLaw
-from .streams import as_generator, chunked_draws, chunked_list, open_uniform
+from .streams import as_generator, chunked_list, open_uniform
 
 
 @dataclass
@@ -70,9 +70,14 @@ class PathColumns(NamedTuple):
 
 
 def default_floor(marginal, horizon, mass=1e-3):
-    """Floor at the ``mass`` quantile of Y(t0) with t0 = horizon/1000."""
+    """Floor at the ``mass`` quantile of Y(t0) with t0 = horizon/1000.
+
+    A horizon near the ends of the float range gives a floor outside the
+    support (0 or +-inf), which ``simulate_path_columns`` rejects.
+    """
     t0 = horizon / 1000.0
-    return float(marginal.vinv(-np.log(mass) / t0))
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(marginal.vinv(-np.log(mass) / t0))
 
 
 def marginal_cdf(law, t, x):
@@ -94,6 +99,11 @@ def _path_marginal(law, horizon, floor):
     y0 = default_floor(m, horizon) if floor is None else float(floor)
     v0 = m.v(y0)
     if not 0.0 < v0 < np.inf:
+        if floor is None:
+            raise DomainError(
+                f"horizon {horizon!r} gives a default floor of {y0!r} outside the support, "
+                "where 0 < V(floor) < inf; give a floor with --floor"
+            )
         raise DomainError(f"floor must lie inside the support, where 0 < V(floor) < inf; got {y0}")
     return m, y0, v0
 
@@ -185,64 +195,3 @@ def sample_Y_at_time(law, t, rng, size=None):
         cols = [m.vinv(e[:, i] / t) for i, m in enumerate(law.marginals)]
     out = np.column_stack(cols)
     return out[0] if size is None else out
-
-
-@dataclass(frozen=True)
-class SubordinationReport:
-    """Result of the random-time check F(x) = P(Y(Z) <= x)."""
-
-    family: str
-    n: int
-    distance: float
-    critical: float
-    passed: bool
-    coordinate_distances: tuple
-    table: tuple  # rows (coordinate, x, empirical, analytic)
-
-
-def verify_subordination(nlaw, n, seed, threads=1):
-    """Draw Z from the mixer, then Y(Z) exactly, and compare with phi(V(x)).
-
-    d = 1 compares the full empirical d.f.; d = 2 compares each coordinate
-    against its count-mixed marginal phi(V_i(x)).  Passes when every
-    Kolmogorov-Smirnov distance is below 1.628/sqrt(n) (the 1 percent
-    critical value).
-    """
-    from .verify_harness import ks_critical, ks_distance
-
-    law = nlaw.base
-    if not isinstance(law, MaxStableLaw):
-        raise ConfigurationError("subordination requires a max-stable base")
-    if law.dim >= 2 and law.dependence not in (INDEPENDENCE, COMPLETE_DEPENDENCE):
-        raise ConfigurationError(
-            "subordination sampling supports independence and complete dependence only"
-        )
-
-    def draw(rng, m):
-        z = np.atleast_1d(nlaw.family.sample_mixer(rng, m))
-        return sample_Y_at_time(law, z, rng, size=m)
-
-    sample = chunked_draws(seed, n, draw, threads=threads)
-    columns = [sample] if law.dim == 1 else [sample[:, i] for i in range(law.dim)]
-
-    distances = []
-    rows = []
-    for i, column in enumerate(columns):
-        marginal = law.marginals[i]
-        cdf = lambda x, m=marginal: nlaw.family.lt(m.v(x))
-        column = np.sort(column)
-        distances.append(ks_distance(column, cdf))
-        for x in marginal.grid:
-            emp = np.searchsorted(column, x, side="right") / n
-            rows.append((i, float(x), float(emp), float(cdf(x))))
-    critical = ks_critical(n)
-    distance = max(distances)
-    return SubordinationReport(
-        family=nlaw.family.name,
-        n=n,
-        distance=float(distance),
-        critical=float(critical),
-        passed=bool(distance < critical),
-        coordinate_distances=tuple(float(d) for d in distances),
-        table=tuple(rows),
-    )

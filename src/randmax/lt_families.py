@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
-from .streams import as_generator, chunked_draws, open_uniform
+from .streams import as_generator, open_uniform
 
 
 class LaplaceFamily:
@@ -65,6 +65,18 @@ class LaplaceFamily:
     def count_mean(self, theta):
         """Mean of N_theta."""
         raise NotImplementedError
+
+    def index(self, n):
+        """The count index theta_n of a base with G^n(a_n x + b_n) -> exp(-V(x)).
+
+        At theta_n the random maximum converges:
+        P_{theta_n}(G(a_n x + b_n)) -> phi(limit_exponent(V(x))).
+        """
+        return 1.0 / n
+
+    def limit_exponent(self, v):
+        """The argument of phi in the limit of the random maximum at ``index(n)``."""
+        return v
 
     def sample_count(self, theta, rng, size=None):
         """Draw N_theta, supported on {1, 2, 3, ...}."""
@@ -184,6 +196,14 @@ class MittagLeffler(LaplaceFamily):
     def sample_count(self, theta, rng, size=None):
         self.validate_theta(theta)
         return _geometric_counts(theta**self.nu, as_generator(rng), size)
+
+    def index(self, n):
+        # N_theta is geometric with success theta^nu, so n theta^nu = 1 balances 1 - G ~ V/n
+        return n ** (-1.0 / self.nu)
+
+    def limit_exponent(self, v):
+        # phi(V^(1/nu)) = 1/(1 + V): the geometric limit
+        return v ** (1.0 / self.nu)
 
     def sample_mixer(self, rng, size=None):
         # U = E^{1/nu} * S_nu mixes a unit exponential with a positive
@@ -306,99 +326,3 @@ class CountScheme:
 
     def sample(self, rng, size=None):
         return self.family.sample_count(self.theta, rng, size)
-
-
-@dataclass(frozen=True)
-class Mixer:
-    """The positive variable U whose Laplace transform is the family's phi."""
-
-    family: LaplaceFamily
-
-    def sample(self, rng, size=None):
-        return self.family.sample_mixer(rng, size)
-
-    def cdf(self, x):
-        return self.family.mixer_cdf(x)
-
-
-# ---------------------------------------------------------------------------
-# Operation surface
-# ---------------------------------------------------------------------------
-
-
-def lt_eval(family, s):
-    """Evaluate phi(s) for finite s >= 0."""
-    s = float(s)
-    if not np.isfinite(s) or s < 0.0:
-        raise DomainError(f"Laplace transform argument must be finite and >= 0, got {s}")
-    return family.lt(s)
-
-
-def lt_inverse(family, u):
-    """Evaluate phi^{-1}(u) for u in (0, 1]."""
-    u = float(u)
-    if not 0.0 < u <= 1.0:
-        raise DomainError(f"inverse argument must lie in (0, 1], got {u}")
-    return family.lt_inv(u)
-
-
-def pgf_theta(scheme, s):
-    """Evaluate the count p.g.f. P_theta(s) on [0, 1]."""
-    return scheme.pgf(s)
-
-
-def sample_count(scheme, rng, size=None):
-    """Draw from N_theta."""
-    return scheme.sample(rng, size)
-
-
-def sample_mixer(mixer, rng, size=None):
-    """Draw from the mixer U."""
-    return mixer.sample(rng, size)
-
-
-@dataclass(frozen=True)
-class Lemma12Report:
-    """Grid comparison of scaled counts theta*N_theta against the mixer law."""
-
-    family: str
-    theta: float
-    n: int
-    distance: float
-    threshold: float
-    passed: bool
-
-
-def verify_lemma12(family, theta, n, seed, threshold=0.01, grid=None, threads=1):
-    """Compare the empirical law of theta*N_theta with the mixer's d.f.
-
-    Draws ``n`` counts, scales them by theta, and reports the sup distance
-    between the empirical distribution function and the mixer's d.f. over
-    an evaluation grid.  Small theta should pass at the given threshold;
-    moderate theta visibly fails (the limit has not set in).
-    """
-    if isinstance(family, MittagLeffler):
-        raise ConfigurationError(
-            "theta*N_theta degenerates to 0 for the Mittag-Leffler family "
-            "(the count is geometric with success theta^nu, so the mean of "
-            "theta*N_theta is theta^(1-nu) -> 0); no scaling of N_theta "
-            "converges to the mixer with transform 1/(1+s^nu), so this "
-            "check is not defined for nu < 1"
-        )
-    family.validate_theta(theta)
-    scaled = theta * chunked_draws(
-        seed, n, lambda rng, m: family.sample_count(theta, rng, m), threads=threads
-    ).astype(float)
-    scaled.sort()
-    if grid is None:
-        grid = np.linspace(0.0, 12.0, 4801)
-    empirical = np.searchsorted(scaled, grid, side="right") / n
-    distance = float(np.abs(empirical - family.mixer_cdf(grid)).max())
-    return Lemma12Report(
-        family=family.name,
-        theta=theta,
-        n=n,
-        distance=distance,
-        threshold=threshold,
-        passed=distance < threshold,
-    )

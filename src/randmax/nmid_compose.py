@@ -44,11 +44,6 @@ class NMaxStableLaw:
         return self.family.lt(self.base.v(x))
 
 
-def nmid_cdf(law, x):
-    """Evaluate F(x) = phi(V(x)); V = +inf (base CDF 0) maps to 0."""
-    return law.cdf(x)
-
-
 @lru_cache(maxsize=8)
 def _half_line_rule(nodes):
     # Gauss-Legendre on [0,1] pushed to (0,inf) through t = u/(1-u).
@@ -66,7 +61,7 @@ def mixture_cdf(law, x, nodes=256):
     """Quadrature oracle: integral of H(x)^t against the mixer density.
 
     Independent of the closed-form composition; must agree with
-    ``nmid_cdf`` to high accuracy.  Available for families whose mixer has
+    ``law.cdf`` to high accuracy.  Available for families whose mixer has
     a closed-form density (geometric) or is a point mass (degenerate).
     """
     if nodes < 64:
@@ -119,24 +114,12 @@ def sample_random_max_seeded(scheme, base, seed, n, threads=1):
     )
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Residual and norming of the same-type split F = P_theta(F_theta)."""
-
-    theta: float
-    residual: float
-    norming: tuple  # per coordinate (scale, shift) with X_theta = scale * X + shift
-
-    @property
-    def passed(self):
-        return self.residual < 1e-12
-
-
 def same_type_decompose(law, theta, grid=None):
     """Split F into P_theta(F_theta) with F_theta(x) = phi(theta * V(x)).
 
-    Returns the sup residual |F(x) - P_theta(F_theta(x))| over the grid and
-    the per-coordinate norming pair carrying F_theta back to the type of F
+    Returns ``(residual, norming)``: the sup residual |F(x) - P_theta(F_theta(x))|
+    over the grid, and per coordinate the pair (scale, shift) with
+    X_theta = scale * X + shift, which carries F_theta back to the type of F
     (for a Frechet(alpha) base the scale factor is theta^(1/alpha)).
     """
     law.family.validate_theta(theta)
@@ -149,5 +132,4 @@ def same_type_decompose(law, theta, grid=None):
     f_full = law.family.lt(v)
     f_theta = law.family.lt(theta * v)
     residual = float(np.abs(f_full - law.family.pgf(theta, f_theta)).max())
-    norming = tuple(m.norming(theta) for m in law.base.marginals)
-    return DecompositionReport(theta=theta, residual=residual, norming=norming)
+    return residual, tuple(m.norming(theta) for m in law.base.marginals)

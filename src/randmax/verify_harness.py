@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .evd_core import doa_gap
-from .lt_families import CountScheme, MittagLeffler, verify_lemma12
+from .errors import ConfigurationError, DomainError
+from .evd_core import MaxStableLaw, doa_gap
+from .extremal_proc import sample_Y_at_time
+from .lt_families import CountScheme, MittagLeffler
 from .nmid_compose import NMaxStableLaw, same_type_decompose, sample_random_max_seeded
+from .streams import chunked_draws
 
 KS_ONE_PERCENT = 1.628
 IDENTITY_TOL = 1e-12
@@ -141,43 +143,27 @@ class Table:
         return "".join(self.csv_blocks())
 
 
-def convergence_table(rows, name="convergence"):
-    """Rows (n, sup deterministic gap, sup random gap)."""
-    return Table.from_rows(name, ("n", "sup_gap_deterministic", "sup_gap_random"), rows)
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     """A named experiment outcome: parameters, seed, tables, stats, pass flag."""
 
     name: str
-    params: tuple  # (key, value) pairs in a fixed order
+    params: dict  # printed in insertion order
     seed: object
     tables: tuple
-    stats: tuple  # (key, value) pairs in a fixed order
+    stats: dict  # printed in insertion order
     passed: bool
 
     def summary_text(self):
         lines = [f"experiment: {self.name}"]
-        for key, value in self.params:
+        for key, value in self.params.items():
             lines.append(f"param {key} = {format_value(value)}")
         if self.seed is not None:
             lines.append(f"seed = {self.seed}")
-        for key, value in self.stats:
+        for key, value in self.stats.items():
             lines.append(f"{key} = {format_value(value)}")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-
-def _report(name, params, seed, tables, stats, passed):
-    return ExperimentReport(
-        name=name,
-        params=tuple(params.items()),
-        seed=seed,
-        tables=tuple(tables),
-        stats=tuple(stats.items()),
-        passed=bool(passed),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +173,15 @@ def _report(name, params, seed, tables, stats, passed):
 POINCARE_S_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 POINCARE_THETAS = (0.5, 0.1, 0.01)
 DEFAULT_NS = (10, 100, 1_000, 10_000)
+
+
+def _check_ns(ns):
+    """Reject an empty list of indices, or an index below 1, before any work."""
+    if not ns:
+        raise DomainError("at least one n is required")
+    for n in ns:
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
 
 
 def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDENTITY_TOL):
@@ -199,36 +194,58 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDE
             worst = max(worst, residual)
             rows.append((theta, s, residual))
     table = Table.from_rows(name="residuals", columns=("theta", "s", "residual"), rows=rows)
-    return _report(
+    return ExperimentReport(
         name="poincare",
         params={"family": family.name, "tolerance": tol},
         seed=None,
-        tables=[table],
+        tables=(table,),
         stats={"max_residual": worst},
         passed=worst < tol,
     )
 
 
 def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1):
-    """Scaled-count convergence: theta*N_theta against the mixer law."""
-    result = verify_lemma12(family, theta, n, seed, threshold=threshold, threads=threads)
+    """Scaled-count convergence: theta*N_theta against the mixer law.
+
+    Draws ``n`` counts, scales them by theta, and takes the sup distance
+    between their empirical d.f. and the mixer's d.f. over a grid on
+    [0, 12].  Small theta passes at the threshold; moderate theta visibly
+    fails (the limit has not set in).
+    """
+    if isinstance(family, MittagLeffler):
+        raise ConfigurationError(
+            "theta*N_theta degenerates to 0 for the Mittag-Leffler family "
+            "(the count is geometric with success theta^nu, so the mean of "
+            "theta*N_theta is theta^(1-nu) -> 0); no scaling of N_theta "
+            "converges to the mixer with transform 1/(1+s^nu), so this "
+            "check is not defined for nu < 1"
+        )
+    family.validate_theta(theta)
+    scaled = theta * chunked_draws(
+        seed, n, lambda rng, m: family.sample_count(theta, rng, m), threads=threads
+    ).astype(float)
+    scaled.sort()
+    grid = np.linspace(0.0, 12.0, 4801)
+    empirical = np.searchsorted(scaled, grid, side="right") / n
+    distance = float(np.abs(empirical - family.mixer_cdf(grid)).max())
     table = Table.from_rows(
         name="distance",
         columns=("theta", "n", "distance", "threshold"),
-        rows=((result.theta, result.n, result.distance, result.threshold),),
+        rows=((theta, n, distance, threshold),),
     )
-    return _report(
+    return ExperimentReport(
         name="lemma12",
         params={"family": family.name, "theta": theta, "n": n},
         seed=seed,
-        tables=[table],
-        stats={"distance": result.distance, "threshold": result.threshold},
-        passed=result.passed,
+        tables=(table,),
+        stats={"distance": distance, "threshold": threshold},
+        passed=distance < threshold,
     )
 
 
 def run_definetti(family, triple, ns=DEFAULT_NS, grid=None, tol=1e-3):
     """Gap of phi(n(1 - G(a_n x + b_n))) against phi(V(x)) along n."""
+    _check_ns(ns)
     target = triple.target
     pts = np.asarray(target.grid if grid is None else grid, dtype=float)
     v = np.atleast_1d(target.v(pts))
@@ -242,11 +259,11 @@ def run_definetti(family, triple, ns=DEFAULT_NS, grid=None, tol=1e-3):
     gaps = [r[1] for r in rows]
     monotone = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
     table = Table.from_rows(name="gaps", columns=("n", "sup_gap"), rows=rows)
-    return _report(
+    return ExperimentReport(
         name="definetti",
         params={"family": family.name, "triple": triple.name, "tolerance": tol},
         seed=None,
-        tables=[table],
+        tables=(table,),
         stats={"final_gap": gaps[-1], "monotone": monotone},
         passed=gaps[-1] < tol and monotone,
     )
@@ -261,26 +278,35 @@ def run_thm24(
     witness_slack=5e-3,
     witness_min_n=100,
 ):
-    """Paired convergence: G^n toward H against P_{1/n}(G(a_n x + b_n)) toward F.
+    """Paired convergence: G^n toward H against the random maximum toward its limit.
+
+    The random column is sup |P_theta(G(a_n x + b_n)) - phi(W(x))| with the
+    count index theta = ``family.index(n)`` and W = ``family.limit_exponent(V)``
+    (Theorems 2.4 and 3.4).  Geometric and degenerate counts take
+    theta = 1/n and W = V, so the limit is F = phi(V).  A Mittag-Leffler
+    count is geometric with success theta^nu, so it takes theta = n^(-1/nu)
+    and W = V^(1/nu): phi(W) = 1/(1 + V), and the Mittag-Leffler random
+    maximum of a classical base lands in the geometric class.
 
     Both sup gaps must fall below ``tol`` at the final n and shrink
-    monotonically.  For families with a 1-Lipschitz transform (geometric,
-    degenerate) the random gap is additionally held to within
+    monotonically.  The limit map V -> phi(W) is 1-Lipschitz for every
+    family, so the random gap is additionally held to within
     ``witness_slack`` of the deterministic gap on rows with
     n >= ``witness_min_n``; at smaller n the pre-limit terms dominate and
     no domination is claimed.
     """
+    _check_ns(ns)
     target = triple.target
     pts = np.asarray(target.grid if grid is None else grid, dtype=float)
     v = np.atleast_1d(target.v(pts))
     h = np.exp(-v)
-    f = family.lt(v)
+    f = family.lt(family.limit_exponent(v))
     rows = []
     for n in ns:
         a, b = triple.norming(n)
         g = np.atleast_1d(triple.base.cdf(a * pts + b))
         det = float(np.abs(g ** int(n) - h).max())
-        ran = float(np.abs(family.pgf(1.0 / n, g) - f).max())
+        ran = float(np.abs(family.pgf(family.index(n), g) - f).max())
         rows.append((int(n), det, ran))
     det_gaps = [r[1] for r in rows]
     ran_gaps = [r[2] for r in rows]
@@ -288,20 +314,15 @@ def run_thm24(
         det_gaps[i + 1] <= det_gaps[i] + 1e-12 and ran_gaps[i + 1] <= ran_gaps[i] + 1e-12
         for i in range(len(rows) - 1)
     )
-    lipschitz_one = not isinstance(family, MittagLeffler)
-    witness = True
-    if lipschitz_one:
-        witness = all(
-            ran <= det + witness_slack
-            for n, det, ran in rows
-            if n >= witness_min_n
-        )
-    table = convergence_table(rows)
-    return _report(
+    witness = all(ran <= det + witness_slack for n, det, ran in rows if n >= witness_min_n)
+    table = Table.from_rows(
+        name="convergence", columns=("n", "sup_gap_deterministic", "sup_gap_random"), rows=rows
+    )
+    return ExperimentReport(
         name="thm24",
         params={"family": family.name, "triple": triple.name, "tolerance": tol},
         seed=None,
-        tables=[table],
+        tables=(table,),
         stats={
             "final_gap_deterministic": det_gaps[-1],
             "final_gap_random": ran_gaps[-1],
@@ -322,41 +343,63 @@ def run_thm31(family, law, thetas=POINCARE_THETAS, grid=None, tol=IDENTITY_TOL):
     rows = []
     worst = 0.0
     for theta in thetas:
-        rep = same_type_decompose(nlaw, theta, grid=grid)
-        worst = max(worst, rep.residual)
-        row = [theta, rep.residual]
-        for scale, shift in rep.norming:
+        residual, norming = same_type_decompose(nlaw, theta, grid=grid)
+        worst = max(worst, residual)
+        row = [theta, residual]
+        for scale, shift in norming:
             row += [scale, shift]
         rows.append(tuple(row))
     table = Table.from_rows(name="decomposition", columns=tuple(columns), rows=rows)
-    return _report(
+    return ExperimentReport(
         name="thm31",
         params={"family": family.name, "dim": dim, "tolerance": tol},
         seed=None,
-        tables=[table],
+        tables=(table,),
         stats={"max_residual": worst},
         passed=worst < tol,
     )
 
 
 def run_thm32(family, law, n, seed, threads=1):
-    """Subordination check: Y at an independent mixer time reproduces phi(V)."""
-    from .extremal_proc import verify_subordination
+    """Subordination check: Y at an independent mixer time reproduces phi(V).
 
-    nlaw = NMaxStableLaw(family, law)
-    result = verify_subordination(nlaw, n, seed, threads=threads)
+    Draws Z from the mixer, then Y(Z) exactly, and compares with phi(V(x)).
+    d = 1 compares the full empirical d.f.; d = 2 compares each coordinate
+    against its count-mixed marginal phi(V_i(x)).  Passes when every
+    Kolmogorov-Smirnov distance is below 1.628/sqrt(n) (the 1 percent
+    critical value).  The logistic model has no sampler and is rejected.
+    """
+    if not isinstance(law, MaxStableLaw):
+        raise ConfigurationError("subordination requires a max-stable base")
+
+    def draw(rng, m):
+        z = np.atleast_1d(family.sample_mixer(rng, m))
+        return sample_Y_at_time(law, z, rng, size=m)
+
+    sample = chunked_draws(seed, n, draw, threads=threads)
+    columns = [sample] if law.dim == 1 else [sample[:, i] for i in range(law.dim)]
+    distances = []
+    rows = []
+    for i, column in enumerate(columns):
+        marginal = law.marginals[i]
+        cdf = lambda x, m=marginal: family.lt(m.v(x))
+        column = np.sort(column)
+        distances.append(ks_distance(column, cdf))
+        for x in marginal.grid:
+            emp = np.searchsorted(column, x, side="right") / n
+            rows.append((i, float(x), float(emp), float(cdf(x))))
+    distance = max(distances)
+    critical = float(ks_critical(n))
     table = Table.from_rows(
-        name="grid",
-        columns=("coordinate", "x", "empirical", "analytic"),
-        rows=result.table,
+        name="grid", columns=("coordinate", "x", "empirical", "analytic"), rows=rows
     )
-    return _report(
+    return ExperimentReport(
         name="thm32",
         params={"family": family.name, "dim": law.dim, "n": n},
         seed=seed,
-        tables=[table],
-        stats={"distance": result.distance, "critical": result.critical},
-        passed=result.passed,
+        tables=(table,),
+        stats={"distance": distance, "critical": critical},
+        passed=distance < critical,
     )
 
 
@@ -371,43 +414,49 @@ def run_thm34(
     allowance=PRELIMIT_ALLOWANCE,
     grid=None,
 ):
-    """Random domain of attraction: analytic gap plus seeded sampling check.
+    """Random domain of attraction (Theorem 3.4): analytic gap plus seeded sampling check.
 
-    Analytic side: membership gaps at index n (both the classical tail gap
-    and sup |P_{1/n}(G(a_n x + b_n)) - F(x)|).  Stochastic side: m draws of
-    the normalized random maximum at theta = 1/n held against the limit
-    F = phi(V) by KS with the pre-limit allowance added to the critical
-    value.
+    The count index is theta = ``family.index(n)`` and the limit is
+    F = phi(W) with W = ``family.limit_exponent(V)``: theta = 1/n and
+    F = phi(V) for geometric and degenerate counts; theta = n^(-1/nu) and
+    F = 1/(1 + V) for Mittag-Leffler counts, whose random maximum of a
+    classical base lands in the geometric class.  Analytic side: membership
+    gaps at index n (both the classical tail gap and
+    sup |P_theta(G(a_n x + b_n)) - F(x)|).  Stochastic side: m draws of the
+    normalized random maximum at theta held against F by KS with the
+    pre-limit allowance added to the critical value.
     """
     target = triple.target
     pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    v = np.atleast_1d(target.v(pts))
-    f = family.lt(v)
-    gaps = doa_gap(triple, n, grid=pts)
+    tail_gap, cdf_gap = doa_gap(triple, n, grid=pts)
+    theta = family.index(n)
+
+    def limit(x):
+        return family.lt(family.limit_exponent(np.atleast_1d(target.v(x))))
+
     a, b = triple.norming(n)
     g = np.atleast_1d(triple.base.cdf(a * pts + b))
-    random_gap = float(np.abs(family.pgf(1.0 / n, g) - f).max())
+    random_gap = float(np.abs(family.pgf(theta, g) - limit(pts)).max())
 
-    scheme = CountScheme(family, 1.0 / n)
+    scheme = CountScheme(family, theta)
     draws = sample_random_max_seeded(scheme, triple.base, seed, m, threads=threads)
-    normalized = np.sort((draws - b) / a)
-    distance = ks_distance(normalized, lambda x: family.lt(np.atleast_1d(target.v(x))))
+    distance = ks_distance(np.sort((draws - b) / a), limit)
     critical = float(ks_critical(m))
 
-    analytic_ok = gaps.tail_gap < tol and random_gap < tol
+    analytic_ok = tail_gap < tol and random_gap < tol
     ks_ok = distance < critical + allowance
     table = Table.from_rows(
         name="gaps",
         columns=("n", "tail_gap", "cdf_gap", "random_gap"),
-        rows=((gaps.n, gaps.tail_gap, gaps.cdf_gap, random_gap),),
+        rows=((int(n), tail_gap, cdf_gap, random_gap),),
     )
-    return _report(
+    return ExperimentReport(
         name="thm34",
         params={"family": family.name, "triple": triple.name, "n": n, "m": m},
         seed=seed,
-        tables=[table],
+        tables=(table,),
         stats={
-            "tail_gap": gaps.tail_gap,
+            "tail_gap": tail_gap,
             "random_gap": random_gap,
             "ks_distance": distance,
             "ks_critical": critical,
@@ -419,19 +468,20 @@ def run_thm34(
 
 def run_doa_table(triple, ns=DEFAULT_NS, grid=None):
     """Domain-of-attraction gaps along n for one triple."""
+    _check_ns(ns)
     rows = []
     for n in ns:
-        gaps = doa_gap(triple, n, grid=grid)
-        rows.append((gaps.n, gaps.tail_gap, gaps.cdf_gap))
+        tail_gap, cdf_gap = doa_gap(triple, n, grid=grid)
+        rows.append((int(n), tail_gap, cdf_gap))
     monotone = all(
         rows[i + 1][2] <= rows[i][2] + 1e-12 for i in range(len(rows) - 1)
     )
     table = Table.from_rows(name="gaps", columns=("n", "tail_gap", "cdf_gap"), rows=rows)
-    return _report(
+    return ExperimentReport(
         name="doa",
         params={"triple": triple.name},
         seed=None,
-        tables=[table],
+        tables=(table,),
         stats={"final_tail_gap": rows[-1][1], "final_cdf_gap": rows[-1][2], "monotone": monotone},
         passed=rows[-1][1] < 1e-3 and monotone,
     )

@@ -27,15 +27,14 @@ from randmax import (
     ks_distance,
     marginal_cdf,
     mixture_cdf,
-    nmid_cdf,
+    run_lemma12,
     run_thm24,
+    run_thm32,
     same_type_decompose,
     sample_random_max_seeded,
     simulate_paths,
     standard_triple,
     univariate,
-    verify_lemma12,
-    verify_subordination,
 )
 from randmax.cli import main
 from randmax.verify_harness import POINCARE_S_GRID, POINCARE_THETAS
@@ -70,7 +69,7 @@ def test_criterion_02_mixture_oracle():
         for marginal in (Frechet(1.0), Frechet(2.0), Gumbel()):
             law = NMaxStableLaw(family, univariate(marginal))
             x = np.asarray(marginal.grid)
-            gap = np.abs(nmid_cdf(law, x) - mixture_cdf(law, x, nodes=256)).max()
+            gap = np.abs(law.cdf(x) - mixture_cdf(law, x, nodes=256)).max()
             worst = max(worst, float(gap))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 1.0
@@ -83,11 +82,11 @@ def test_criterion_03_known_special_cases():
     start = time.perf_counter()
     x = np.asarray(Frechet.grid)
     log_logistic = np.abs(
-        nmid_cdf(NMaxStableLaw(Geometric(), univariate(Frechet(1.0))), x) - x / (1.0 + x)
+        NMaxStableLaw(Geometric(), univariate(Frechet(1.0))).cdf(x) - x / (1.0 + x)
     ).max()
     y = np.asarray(Gumbel.grid)
     logistic = np.abs(
-        nmid_cdf(NMaxStableLaw(Geometric(), univariate(Gumbel())), y)
+        NMaxStableLaw(Geometric(), univariate(Gumbel())).cdf(y)
         - 1.0 / (1.0 + np.exp(-y))
     ).max()
     elapsed = time.perf_counter() - start
@@ -106,7 +105,7 @@ def test_criterion_04_same_type_decomposition():
         for marginal in marginals:
             law = NMaxStableLaw(family, univariate(marginal))
             for theta in (0.5, 0.1, 0.01):
-                worst = max(worst, same_type_decompose(law, theta).residual)
+                worst = max(worst, same_type_decompose(law, theta)[0])
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0
     report("4 same-type-decomposition", ok, f"max residual {worst:.3e}, {elapsed:.2f}s")
@@ -144,11 +143,11 @@ def test_criterion_05_convergence_table():
 
 def test_criterion_06_scaled_count_convergence():
     start = time.perf_counter()
-    result = verify_lemma12(Geometric(), 0.001, 100_000, seed=2026)
+    distance = run_lemma12(Geometric(), 0.001, 100_000, seed=2026).stats["distance"]
     elapsed = time.perf_counter() - start
-    ok = result.distance < 0.01 and elapsed < 5.0
-    report("6 scaled-count-limit", ok, f"KS {result.distance:.4f} < 0.01, {elapsed:.2f}s")
-    assert result.distance < 0.01
+    ok = distance < 0.01 and elapsed < 5.0
+    report("6 scaled-count-limit", ok, f"KS {distance:.4f} < 0.01, {elapsed:.2f}s")
+    assert distance < 0.01
     assert elapsed < 5.0
 
 
@@ -158,13 +157,12 @@ def test_criterion_07_subordination():
     for label, family in (("geometric", Geometric()),
                           ("degenerate", Degenerate()),
                           ("mittag-leffler", MittagLeffler(0.5))):
-        nlaw = NMaxStableLaw(family, univariate(Frechet(1.0)))
-        result = verify_subordination(nlaw, 100_000, seed=2027)
-        distances[label] = result.distance
+        result = run_thm32(family, univariate(Frechet(1.0)), 100_000, seed=2027)
+        distances[label] = result.stats["distance"]
     for dependence in ("independence", "complete"):
         law = MaxStableLaw((Frechet(1.0), Frechet(1.0)), dependence=dependence)
-        result = verify_subordination(NMaxStableLaw(Geometric(), law), 100_000, seed=2028)
-        distances[dependence] = result.distance
+        result = run_thm32(Geometric(), law, 100_000, seed=2028)
+        distances[dependence] = result.stats["distance"]
     elapsed = time.perf_counter() - start
     worst = max(distances.values())
     ok = worst < KS_1E5 and elapsed < 30.0

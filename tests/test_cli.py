@@ -135,6 +135,30 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, argv, code", [
+    ("theta=0.5\n", ["--config", "{cfg}", "--n", "5"], 0),  # a file value satisfies --theta
+    ("theta=0.5\n", ["--config={cfg}", "--n", "5"], 0),
+    (None, ["--theta", "0.5", "--config"], 2),  # no path
+    ("theta 0.5\n", ["--config", "{cfg}"], 2),  # no '='
+    ("theta=0.5\nunknown_key=1\n", ["--config", "{cfg}"], 2),
+    ("theta=0.5\nn=abc\n", ["--config", "{cfg}"], 2),
+])
+def test_config_contract(tmp_path, capsys, text, argv, code):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    head = ["sample", "count", "--out", str(out), "--seed", "1"]
+    assert main(head + [arg.replace("{cfg}", str(cfg)) for arg in argv]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err and not out.exists()
+        return
+    code, explicit = run(["sample", "count", "--theta", "0.5", "--n", "5", "--seed", "1"], tmp_path, "x")
+    assert code == 0
+    assert read(out / "count.csv") == read(explicit / "count.csv")
+
+
 def test_extremal_path_csv(tmp_path):
     code, out = run(
         ["extremal", "path", "--marginal", "frechet:1", "--horizon", "1",
@@ -298,6 +322,31 @@ def test_out_of_range_seed_flag_exits_two_without_randomness(tmp_path, capsys):
     (["extremal", "path", "--horizon", "inf"], "horizon must be finite and positive"),
 ])
 def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
+    code, out = run(argv + ["--seed", "1"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "extremal-marginal", "--marginal", "frechet:abc"], "expected a number"),
+    (["sample", "extremal-marginal", "--marginal", "frechet:nan"], "finite and positive, got nan"),
+    (["extremal", "path", "--marginal", "reverse-weibull:inf"], "finite and positive, got inf"),
+    (["verify", "thm24", "--triple", "pareto:x"], "expected a number"),
+    (["sample", "randmax", "--theta", "0.5", "--base", "pareto:x"], "expected a number"),
+    (["sample", "randmax", "--theta", "0.5", "--base", "pareto:nan"], "finite and positive, got nan"),
+    (["table", "doa", "--ns", ","], "at least one n"),
+    (["verify", "definetti", "--ns", ","], "at least one n"),
+    (["verify", "thm24", "--ns", "0,10"], "n must be >= 1, got 0"),
+    (["verify", "definetti", "--ns", "0"], "n must be >= 1, got 0"),
+    (["extremal", "path", "--horizon", "1e-320"],
+     "horizon 1e-320 gives a default floor of 0.0 outside the support, "
+     "where 0 < V(floor) < inf; give a floor with --floor"),
+    (["extremal", "path", "--horizon", "1e-320", "--floor", "0"], "floor must lie inside"),
+])
+def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)
     assert code == 2
     err = capsys.readouterr().err

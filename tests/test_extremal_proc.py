@@ -19,14 +19,13 @@ from randmax import (
     ks_distance,
     ks_two_sample,
     marginal_cdf,
-    nmid_cdf,
+    run_thm32,
     sample_Y_at_time,
     simulate_path,
     simulate_path_columns,
     simulate_paths,
     substream,
     univariate,
-    verify_subordination,
 )
 
 FRECHET1 = univariate(Frechet(1.0))
@@ -238,18 +237,16 @@ def test_independent_max_increments():
 
 
 def test_subordination_degenerate_reduces_to_base():
-    nlaw = NMaxStableLaw(Degenerate(), FRECHET1)
-    report = verify_subordination(nlaw, 100_000, seed=56)
+    report = run_thm32(Degenerate(), FRECHET1, 100_000, seed=56)
     assert report.passed
-    assert report.critical == pytest.approx(1.628 / math.sqrt(100_000))
+    assert report.stats["critical"] == pytest.approx(1.628 / math.sqrt(100_000))
 
 
 def test_subordination_geometric_point_probability():
     # P(Y(Z) <= 1) = integral exp(-t) exp(-t) dt = 1/2
-    nlaw = NMaxStableLaw(Geometric(), FRECHET1)
-    report = verify_subordination(nlaw, 100_000, seed=57)
+    report = run_thm32(Geometric(), FRECHET1, 100_000, seed=57)
     assert report.passed
-    grid_rows = [row for row in report.table if row[1] == 1.0]
+    grid_rows = [row for row in report.tables[0].rows if row[1] == 1.0]
     assert len(grid_rows) == 1
     _, _, empirical, analytic = grid_rows[0]
     assert analytic == pytest.approx(0.5, abs=1e-15)
@@ -257,21 +254,20 @@ def test_subordination_geometric_point_probability():
 
 
 def test_subordination_mittag_leffler():
-    nlaw = NMaxStableLaw(MittagLeffler(0.5), FRECHET1)
-    report = verify_subordination(nlaw, 100_000, seed=58)
+    report = run_thm32(MittagLeffler(0.5), FRECHET1, 100_000, seed=58)
     assert report.passed
     # closed form of the composed law at x: 1/(1 + x^(-1/2))
     x = np.asarray(Frechet.grid)
-    assert np.abs(nmid_cdf(nlaw, x) - 1.0 / (1.0 + x**-0.5)).max() < 1e-14
+    nlaw = NMaxStableLaw(MittagLeffler(0.5), FRECHET1)
+    assert np.abs(nlaw.cdf(x) - 1.0 / (1.0 + x**-0.5)).max() < 1e-14
 
 
 def test_subordination_bivariate_marginals():
     for dependence in ("independence", "complete"):
         law = MaxStableLaw((Frechet(1.0), Frechet(1.0)), dependence=dependence)
-        nlaw = NMaxStableLaw(Geometric(), law)
-        report = verify_subordination(nlaw, 100_000, seed=59)
+        report = run_thm32(Geometric(), law, 100_000, seed=59)
         assert report.passed, dependence
-        assert len(report.coordinate_distances) == 2
+        assert {row[0] for row in report.tables[0].rows} == {0, 1}
 
 
 def test_subordination_all_family_marginal_combinations():
@@ -279,12 +275,11 @@ def test_subordination_all_family_marginal_combinations():
     marginals = (Frechet(1.0), Frechet(2.0), Gumbel(), ReverseWeibull(1.0))
     for idx, family in enumerate(families):
         for jdx, marginal in enumerate(marginals):
-            nlaw = NMaxStableLaw(family, univariate(marginal))
-            report = verify_subordination(nlaw, 30_000, seed=1000 + 10 * idx + jdx)
+            report = run_thm32(family, univariate(marginal), 30_000, seed=1000 + 10 * idx + jdx)
             assert report.passed, (family.name, marginal)
 
 
 def test_subordination_rejects_logistic():
     law = MaxStableLaw((Frechet(1.0), Frechet(1.0)), dependence="logistic", r=0.5)
     with pytest.raises(ConfigurationError):
-        verify_subordination(NMaxStableLaw(Geometric(), law), 1_000, seed=60)
+        run_thm32(Geometric(), law, 1_000, seed=60)

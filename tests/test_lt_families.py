@@ -9,16 +9,10 @@ from randmax import (
     Degenerate,
     DomainError,
     Geometric,
-    Mixer,
     MittagLeffler,
-    lt_eval,
-    lt_inverse,
-    pgf_theta,
-    sample_count,
-    sample_mixer,
+    run_lemma12,
     sample_positive_stable,
     substream,
-    verify_lemma12,
 )
 
 FAMILIES = [Geometric(), MittagLeffler(0.5), Degenerate()]
@@ -32,32 +26,30 @@ S_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def test_lt_closed_forms():
-    assert lt_eval(Geometric(), 0.0) == 1.0
-    assert lt_eval(Geometric(), 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert lt_eval(MittagLeffler(0.5), 4.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert lt_eval(Degenerate(), 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert Geometric().lt(0.0) == 1.0
+    assert Geometric().lt(2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert MittagLeffler(0.5).lt(4.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert Degenerate().lt(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     for family in FAMILIES:
-        assert lt_eval(family, 0.0) == 1.0
+        assert family.lt(0.0) == 1.0
 
 
 def test_lt_inverse_closed_forms():
-    assert lt_inverse(Geometric(), 1.0) == 0.0
-    assert lt_inverse(Geometric(), 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert lt_inverse(Degenerate(), math.exp(-2.0)) == pytest.approx(2.0, abs=1e-12)
+    assert Geometric().lt_inv(1.0) == 0.0
+    assert Geometric().lt_inv(0.5) == pytest.approx(1.0, abs=1e-15)
+    assert Degenerate().lt_inv(math.exp(-2.0)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lt_domain_errors():
     for family in FAMILIES:
         with pytest.raises(DomainError):
-            lt_eval(family, -0.1)
+            family.lt(-0.1)
         with pytest.raises(DomainError):
-            lt_eval(family, math.inf)
+            family.lt(math.nan)
         with pytest.raises(DomainError):
-            lt_eval(family, math.nan)
+            family.lt_inv(0.0)
         with pytest.raises(DomainError):
-            lt_inverse(family, 0.0)
-        with pytest.raises(DomainError):
-            lt_inverse(family, 1.0 + 1e-12)
+            family.lt_inv(1.0 + 1e-12)
 
 
 def test_lt_monotone_and_limits():
@@ -93,9 +85,9 @@ def test_complete_monotonicity_sign_alternation():
 
 def test_pgf_endpoints_and_closed_form():
     scheme = CountScheme(Geometric(), 0.5)
-    assert pgf_theta(scheme, 1.0) == 1.0
-    assert pgf_theta(scheme, 0.0) == 0.0
-    assert pgf_theta(scheme, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert scheme.pgf(1.0) == 1.0
+    assert scheme.pgf(0.0) == 0.0
+    assert scheme.pgf(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
     # geometric closed form theta*s / (1 - (1-theta)*s)
     s = np.linspace(0.0, 1.0, 101)
     for theta in THETA_GRID:
@@ -107,7 +99,7 @@ def test_pgf_endpoints_and_closed_form():
 def test_pgf_poincare_example():
     g = Geometric()
     scheme = CountScheme(g, 0.1)
-    assert pgf_theta(scheme, g.lt(0.3)) == pytest.approx(0.25, abs=1e-14)
+    assert scheme.pgf(g.lt(0.3)) == pytest.approx(0.25, abs=1e-14)
     assert g.lt(3.0) == 0.25
 
 
@@ -141,7 +133,17 @@ def test_theta_validation():
     with pytest.raises(ConfigurationError):
         MittagLeffler(1.5)
     with pytest.raises(DomainError):
-        pgf_theta(CountScheme(Geometric(), 0.5), 1.5)
+        CountScheme(Geometric(), 0.5).pgf(1.5)
+
+
+def test_index_and_limit_exponent():
+    # theta_n = index(n) gives E N = n; phi(limit_exponent(v)) is the geometric 1/(1 + v)
+    v = np.array([0.0, 0.1, 1.0, 10.0, np.inf])
+    for family in FAMILIES:
+        assert family.count_mean(family.index(1_000)) == pytest.approx(1_000.0)
+    for family in (Geometric(), MittagLeffler(0.3), MittagLeffler(0.5)):
+        assert np.abs(family.lt(family.limit_exponent(v)) - Geometric().lt(v)).max() < 1e-15
+    assert np.array_equal(Degenerate().limit_exponent(v), v)
 
 
 def test_count_means():
@@ -152,15 +154,15 @@ def test_count_means():
 
 def test_sample_count_degenerate():
     scheme = CountScheme(Degenerate(), 0.1)
-    assert sample_count(scheme, substream(0)) == 10
-    draws = sample_count(scheme, substream(1), 100)
+    assert scheme.sample(substream(0)) == 10
+    draws = scheme.sample(substream(1), 100)
     assert np.all(draws == 10)
 
 
 def test_sample_count_means():
-    draws = sample_count(CountScheme(Geometric(), 0.5), substream(2), 100_000)
+    draws = CountScheme(Geometric(), 0.5).sample(substream(2), 100_000)
     assert abs(draws.mean() - 2.0) < 0.03
-    draws = sample_count(CountScheme(MittagLeffler(0.5), 0.25), substream(3), 100_000)
+    draws = CountScheme(MittagLeffler(0.5), 0.25).sample(substream(3), 100_000)
     assert abs(draws.mean() - 2.0) < 0.03
     assert draws.min() >= 1
 
@@ -169,7 +171,7 @@ def test_sample_count_empirical_pgf():
     # empirical E[s^N] against the p.g.f., three standard errors
     for family, theta in [(Geometric(), 0.5), (MittagLeffler(0.5), 0.25)]:
         scheme = CountScheme(family, theta)
-        draws = sample_count(scheme, substream(4), 100_000)
+        draws = scheme.sample(substream(4), 100_000)
         for s in (0.25, 0.5, 0.75):
             values = s ** draws.astype(float)
             se = values.std() / math.sqrt(values.size)
@@ -184,24 +186,24 @@ def test_sample_count_empirical_pgf():
 
 
 def test_mixer_degenerate():
-    mixer = Mixer(Degenerate())
-    assert sample_mixer(mixer, substream(5)) == 1.0
-    assert np.all(sample_mixer(mixer, substream(5), 50) == 1.0)
+    family = Degenerate()
+    assert family.sample_mixer(substream(5)) == 1.0
+    assert np.all(family.sample_mixer(substream(5), 50) == 1.0)
 
 
 def test_mixer_geometric_is_unit_exponential():
-    u = sample_mixer(Mixer(Geometric()), substream(6), 100_000)
+    u = Geometric().sample_mixer(substream(6), 100_000)
     assert abs((u <= 1.0).mean() - (1.0 - math.exp(-1.0))) < 0.005
 
 
 def test_mixer_mittag_leffler_transform_value():
-    u = sample_mixer(Mixer(MittagLeffler(0.5)), substream(7), 100_000)
+    u = MittagLeffler(0.5).sample_mixer(substream(7), 100_000)
     assert abs(np.exp(-u).mean() - 0.5) < 0.005
 
 
 def test_mixer_empirical_laplace_transform():
     for family in FAMILIES:
-        u = np.atleast_1d(sample_mixer(Mixer(family), substream(8), 100_000))
+        u = np.atleast_1d(family.sample_mixer(substream(8), 100_000))
         for s in (0.5, 1.0, 2.0):
             assert abs(np.exp(-s * u).mean() - family.lt(s)) < 0.01, family.name
 
@@ -248,26 +250,26 @@ def test_mixer_cdf_and_unsupported():
 
 
 def test_lemma12_degenerate_is_exact():
-    report = verify_lemma12(Degenerate(), 0.1, 1_000, seed=0)
-    assert report.distance == 0.0
+    report = run_lemma12(Degenerate(), 0.1, 1_000, seed=0)
+    assert report.stats["distance"] == 0.0
     assert report.passed
 
 
 def test_lemma12_geometric_small_theta_passes():
-    report = verify_lemma12(Geometric(), 0.001, 100_000, seed=42)
-    assert report.distance < 0.01
+    report = run_lemma12(Geometric(), 0.001, 100_000, seed=42)
+    assert report.stats["distance"] < 0.01
     assert report.passed
 
 
 def test_lemma12_geometric_moderate_theta_fails():
-    report = verify_lemma12(Geometric(), 0.5, 100_000, seed=42)
-    assert report.distance > 0.05
+    report = run_lemma12(Geometric(), 0.5, 100_000, seed=42)
+    assert report.stats["distance"] > 0.05
     assert not report.passed
 
 
 def test_lemma12_rejects_mittag_leffler():
     with pytest.raises(ConfigurationError, match="degenerates"):
-        verify_lemma12(MittagLeffler(0.5), 0.001, 1_000, seed=0)
+        run_lemma12(MittagLeffler(0.5), 0.001, 1_000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +279,14 @@ def test_lemma12_rejects_mittag_leffler():
 
 def test_samplers_are_seed_deterministic():
     scheme = CountScheme(Geometric(), 0.1)
-    a = sample_count(scheme, substream(123), 1000)
-    b = sample_count(scheme, substream(123), 1000)
+    a = scheme.sample(substream(123), 1000)
+    b = scheme.sample(substream(123), 1000)
     assert np.array_equal(a, b)
-    u1 = sample_mixer(Mixer(MittagLeffler(0.5)), substream(7, 3), 100)
-    u2 = sample_mixer(Mixer(MittagLeffler(0.5)), substream(7, 3), 100)
+    u1 = MittagLeffler(0.5).sample_mixer(substream(7, 3), 100)
+    u2 = MittagLeffler(0.5).sample_mixer(substream(7, 3), 100)
     assert np.array_equal(u1, u2)
     # distinct substreams of one seed are distinct
     assert not np.array_equal(
-        sample_mixer(Mixer(Geometric()), substream(7, 0), 100),
-        sample_mixer(Mixer(Geometric()), substream(7, 1), 100),
+        Geometric().sample_mixer(substream(7, 0), 100),
+        Geometric().sample_mixer(substream(7, 1), 100),
     )

@@ -22,7 +22,6 @@ from randmax import (
     ks_distance,
     ks_two_sample,
     mixture_cdf,
-    nmid_cdf,
     same_type_decompose,
     sample_base,
     sample_random_max,
@@ -48,39 +47,39 @@ def test_known_special_cases():
     # geometric + Frechet(1) is log-logistic x/(1+x)
     law = law_of(GEOMETRIC, Frechet(1.0))
     x = np.asarray(Frechet.grid)
-    assert np.abs(nmid_cdf(law, x) - x / (1.0 + x)).max() < 1e-14
-    assert nmid_cdf(law, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert np.abs(law.cdf(x) - x / (1.0 + x)).max() < 1e-14
+    assert law.cdf(1.0) == pytest.approx(0.5, abs=1e-15)
     # geometric + Gumbel is the logistic law 1/(1+exp(-x))
     law = law_of(GEOMETRIC, Gumbel())
     x = np.asarray(Gumbel.grid)
-    assert np.abs(nmid_cdf(law, x) - 1.0 / (1.0 + np.exp(-x))).max() < 1e-14
-    assert nmid_cdf(law, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert np.abs(law.cdf(x) - 1.0 / (1.0 + np.exp(-x))).max() < 1e-14
+    assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_degenerate_family_reduces_to_base():
     for marginal in (Frechet(1.0), Frechet(2.0), Gumbel(), ReverseWeibull(1.0)):
         law = law_of(DEGENERATE, marginal)
         x = np.asarray(marginal.grid)
-        assert np.abs(nmid_cdf(law, x) - np.exp(-univariate(marginal).v(x))).max() < 1e-14
-    assert nmid_cdf(law_of(DEGENERATE, Frechet(1.0)), 1.0) == pytest.approx(math.exp(-1.0))
+        assert np.abs(law.cdf(x) - np.exp(-univariate(marginal).v(x))).max() < 1e-14
+    assert law_of(DEGENERATE, Frechet(1.0)).cdf(1.0) == pytest.approx(math.exp(-1.0))
 
 
 def test_zero_base_cdf_maps_to_zero():
     law = law_of(GEOMETRIC, Frechet(1.0))
-    assert nmid_cdf(law, 0.0) == 0.0
-    assert nmid_cdf(law, -5.0) == 0.0
+    assert law.cdf(0.0) == 0.0
+    assert law.cdf(-5.0) == 0.0
 
 
 def test_cdf_monotone_in_each_coordinate():
     for family in (GEOMETRIC, MittagLeffler(0.5), DEGENERATE):
         law = law_of(family, Frechet(1.0))
         x = np.linspace(0.01, 50.0, 500)
-        assert np.all(np.diff(nmid_cdf(law, x)) > 0.0)
+        assert np.all(np.diff(law.cdf(x)) > 0.0)
     biv = NMaxStableLaw(GEOMETRIC, MaxStableLaw((Frechet(1.0), Frechet(1.0))))
     base = np.linspace(0.1, 10.0, 100)
     fixed = np.full_like(base, 2.0)
-    along0 = nmid_cdf(biv, np.column_stack([base, fixed]))
-    along1 = nmid_cdf(biv, np.column_stack([fixed, base]))
+    along0 = biv.cdf(np.column_stack([base, fixed]))
+    along1 = biv.cdf(np.column_stack([fixed, base]))
     assert np.all(np.diff(along0) > 0.0) and np.all(np.diff(along1) > 0.0)
 
 
@@ -89,7 +88,7 @@ def test_poisson_max_base_composition():
     assert mid.cdf(2.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     law = NMaxStableLaw(GEOMETRIC, mid)
     # phi(a (1 - G(x))) with a = 2, G(2) = 1/2
-    assert nmid_cdf(law, 2.0) == pytest.approx(0.5, abs=1e-15)
+    assert law.cdf(2.0) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ConfigurationError):
         NMaxStableLaw(GEOMETRIC, Pareto(1.0))
 
@@ -104,7 +103,7 @@ def test_mixture_against_closed_form_grid():
         for marginal in (Frechet(1.0), Frechet(2.0), Gumbel()):
             law = law_of(family, marginal)
             x = np.asarray(marginal.grid)
-            gap = np.abs(mixture_cdf(law, x, nodes=256) - nmid_cdf(law, x)).max()
+            gap = np.abs(mixture_cdf(law, x, nodes=256) - law.cdf(x)).max()
             assert gap < 1e-8, (family.name, marginal)
 
 
@@ -121,7 +120,7 @@ def test_mixture_over_poisson_max_base():
     # max-stable ones; a Poisson maximum is the canonical example
     law = NMaxStableLaw(GEOMETRIC, PoissonMax(2.0, Pareto(1.0)))
     x = np.linspace(1.0, 20.0, 25)
-    gap = np.abs(mixture_cdf(law, x, nodes=256) - nmid_cdf(law, x)).max()
+    gap = np.abs(mixture_cdf(law, x, nodes=256) - law.cdf(x)).max()
     assert gap < 1e-8
 
 
@@ -247,15 +246,15 @@ def test_decompose_hand_chain():
     f_theta_at_1 = GEOMETRIC.lt(theta * 1.0)
     assert f_theta_at_1 == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert GEOMETRIC.pgf(theta, f_theta_at_1) == pytest.approx(0.5, abs=1e-15)
-    report = same_type_decompose(law, theta)
-    assert report.residual < 1e-12
-    assert report.norming == ((0.5, 0.0),)  # Frechet(1): scale theta^(1/alpha)
+    residual, norming = same_type_decompose(law, theta)
+    assert residual < 1e-12
+    assert norming == ((0.5, 0.0),)  # Frechet(1): scale theta^(1/alpha)
 
 
 def test_decompose_degenerate_power():
     law = law_of(DEGENERATE, Frechet(1.0))
-    report = same_type_decompose(law, 0.1)
-    assert report.residual <= 1e-14
+    residual, _ = same_type_decompose(law, 0.1)
+    assert residual <= 1e-14
 
 
 def test_decompose_residual_grid():
@@ -265,17 +264,16 @@ def test_decompose_residual_grid():
         for marginal in marginals:
             law = law_of(family, marginal)
             for theta in (0.5, 0.1, 0.01):
-                report = same_type_decompose(law, theta)
-                assert report.residual < 1e-12, (family.name, marginal, theta)
-                assert report.passed
+                residual, _ = same_type_decompose(law, theta)
+                assert residual < 1e-12, (family.name, marginal, theta)
 
 
 def test_decompose_bivariate():
     law = NMaxStableLaw(GEOMETRIC, MaxStableLaw((Frechet(1.0), Frechet(2.0))))
-    report = same_type_decompose(law, 0.1)
-    assert report.residual < 1e-12
-    assert report.norming[0] == (pytest.approx(0.1), 0.0)
-    assert report.norming[1] == (pytest.approx(0.1**0.5), 0.0)
+    residual, norming = same_type_decompose(law, 0.1)
+    assert residual < 1e-12
+    assert norming[0] == (pytest.approx(0.1), 0.0)
+    assert norming[1] == (pytest.approx(0.1**0.5), 0.0)
 
 
 def test_decompose_norming_matches_type_map():
@@ -284,12 +282,11 @@ def test_decompose_norming_matches_type_map():
         family = GEOMETRIC
         law = law_of(family, marginal)
         theta = 0.1
-        report = same_type_decompose(law, theta)
-        (a, b), = report.norming
+        _, ((a, b),) = same_type_decompose(law, theta)
         x = np.asarray(marginal.grid)
         f_theta = family.lt(theta * univariate(marginal).v(x))
         # X_theta = a X + b, so F_theta(x) = F((x - b)/a)
-        assert np.abs(f_theta - nmid_cdf(law, (x - b) / a)).max() < 1e-12
+        assert np.abs(f_theta - law.cdf((x - b) / a)).max() < 1e-12
 
 
 def test_decompose_validation():

@@ -9,6 +9,7 @@ from randmax import (
     Geometric,
     MittagLeffler,
     Pareto,
+    PoissonMax,
     Table,
     ks_critical,
     ks_distance,
@@ -118,14 +119,12 @@ def test_run_definetti_degenerate_pareto():
 
 def test_definetti_degenerate_is_poisson_maximum():
     # with phi = exp(-s) the tabulated quantity is the Poisson-maximum d.f.
-    from randmax import poisson_max_cdf
-
     n = 100
     a, b = PARETO1.norming(n)
     x = np.asarray(PARETO1.target.grid)
     g = PARETO1.base.cdf(a * x + b)
     via_family = DEGENERATE.lt(n * (1.0 - g))
-    via_poisson = poisson_max_cdf(n, PARETO1.base, a * x + b)
+    via_poisson = PoissonMax(n, PARETO1.base).cdf(a * x + b)
     assert np.abs(via_family - via_poisson).max() < 1e-15
 
 
@@ -192,6 +191,17 @@ def test_run_thm24_witness_inequality_rows():
     assert rows[10][2] > rows[10][1] + 5e-3
 
 
+def test_run_thm24_mittag_leffler_lands_in_the_geometric_class():
+    # at theta = n^(-1/nu) the random column converges to 1/(1 + V), the geometric limit
+    for triple in (PARETO1, EXPONENTIAL):
+        geometric = run_thm24(GEOMETRIC, triple).tables[0].rows
+        for nu in (0.3, 0.5, 0.9):
+            report = run_thm24(MittagLeffler(nu), triple)
+            assert report.passed, (triple.name, nu)
+            for (n, det0, ran0), (_, det1, ran1) in zip(geometric, report.tables[0].rows):
+                assert det1 == det0 and abs(ran1 - ran0) < 1e-12, (triple.name, nu, n)
+
+
 def test_run_thm24_grid_refinement_stability():
     grid = np.asarray(PARETO1.target.grid)
     refined = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
@@ -237,6 +247,15 @@ def test_run_thm34_pareto_full_scale():
     stats = dict(report.stats)
     assert stats["ks_distance"] < 0.01
     assert stats["tail_gap"] < 2e-3 and stats["random_gap"] < 2e-3
+    assert report.passed
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_thm34_mittag_leffler(seed):
+    report = run_thm34(MittagLeffler(0.5), PARETO1, n=10_000, m=20_000, seed=seed)
+    stats = dict(report.stats)
+    assert stats["tail_gap"] < 2e-3 and stats["random_gap"] < 2e-3
+    assert stats["ks_distance"] < stats["ks_critical"]
     assert report.passed
 
 
