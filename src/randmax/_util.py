@@ -2,6 +2,10 @@
 
 import numpy as np
 
+# float64 values per working block of the quadrature oracle and the KS
+# statistic (256 KB), which bounds their memory whatever the input size
+BLOCK_VALUES = 1 << 15
+
 
 def apply_scalar(x, func):
     """Evaluate an array function, preserving scalar in -> scalar out."""

@@ -118,18 +118,22 @@ def parse_base(spec):
 def _splice_config(argv):
     """Split ``--config PATH`` (or ``--config=PATH``) off ``argv`` and read the file.
 
-    Returns the remaining argv and the file's ``key=value`` lines as a dict,
-    which ``build_parser`` turns into flag defaults, so explicit flags win.
+    Every abbreviation argparse accepts for ``--config`` is split off too,
+    from ``--c`` up, since no other flag starts with ``--c``.  Returns the
+    remaining argv and the file's ``key=value`` lines as a dict, which
+    ``build_parser`` turns into flag defaults, so explicit flags win.
     """
     for i, tok in enumerate(argv):
-        if tok.startswith("--config="):
-            path, rest = tok.split("=", 1)[1], argv[:i] + argv[i + 1:]
-            break
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigurationError("--config needs a file path")
+        flag, eq, value = tok.partition("=")
+        if len(flag) < 3 or not "--config".startswith(flag):
+            continue
+        if eq:
+            path, rest = value, argv[:i] + argv[i + 1:]
+        elif i + 1 < len(argv):
             path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-            break
+        else:
+            raise ConfigurationError("--config needs a file path")
+        break
     else:
         return argv, {}
     try:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import BLOCK_VALUES
 from .errors import ConfigurationError, DomainError
 from .evd_core import MaxStableLaw, PoissonMax, standard_points
 from .lt_families import Degenerate
@@ -63,6 +64,8 @@ def mixture_cdf(law, x, nodes=256):
     Independent of the closed-form composition; must agree with
     ``law.cdf`` to high accuracy.  Available for families whose mixer has
     a closed-form density (geometric) or is a point mass (degenerate).
+    The points are integrated ``BLOCK_VALUES // nodes`` at a time, so the
+    working memory is one block of exponentials whatever the input size.
     """
     if nodes < 64:
         raise ConfigurationError(f"at least 64 quadrature nodes required, got {nodes}")
@@ -73,8 +76,14 @@ def mixture_cdf(law, x, nodes=256):
     t, weight = _half_line_rule(nodes)
     coeff = weight * density(t)
     v = np.asarray(law.v(x), dtype=float)
-    out = np.exp(-v[..., None] * t) @ coeff
-    return float(out) if out.ndim == 0 else out
+    flat = v.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = max(1, BLOCK_VALUES // nodes)
+    for start in range(0, flat.size, rows):
+        block = np.multiply.outer(-flat[start:start + rows], t)
+        np.exp(block, out=block)
+        out[start:start + rows] = block @ coeff
+    return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
 def _max_survival(u, counts):

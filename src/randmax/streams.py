@@ -56,38 +56,53 @@ def open_uniform(rng, size=None):
     return np.maximum(rng.random(size), 2.0**-54)
 
 
-def _map_chunks(seed, n, job, threads, chunk, what):
-    """Ordered results of ``job(rng, m)`` over the fixed-size substream chunks of ``n`` items.
-
-    At most ``min(threads, chunks, os.cpu_count())`` worker threads run.
-    """
+def _spans(n, chunk, what):
+    """``(substream index, start, length)`` of each fixed-size chunk of ``n`` items."""
     if n <= 0:
         raise ConfigurationError(f"{what} must be positive, got {n}")
-    spans = [(index, min(chunk, n - start)) for index, start in enumerate(range(0, n, chunk))]
+    return [(index, start, min(chunk, n - start)) for index, start in enumerate(range(0, n, chunk))]
 
-    def one(span):
-        idx, m = span
-        return job(substream(seed, idx), m)
 
+def _map_chunks(one, spans, threads):
+    """``[one(span) for span in spans]``; ``one(spans[0])`` returns before any other call starts.
+
+    At most ``min(threads, len(spans), os.cpu_count())`` worker threads run.
+    """
     workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers <= 1:
         return [one(span) for span in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, spans))
+        first = pool.submit(one, spans[0]).result()
+        return [first, *pool.map(one, spans[1:])]
 
 
 def chunked_draws(seed, n, draw, threads=1, chunk=CHUNK_DRAWS):
-    """Assemble ``n`` draws from fixed-size substream chunks.
+    """Assemble ``n`` draws from fixed-size substream chunks, in place.
 
     ``draw(rng, m)`` must return an array whose leading axis has length ``m``.
-    Chunks are always assembled in index order, so the result is identical
-    for every thread count.
+    Chunk 0 is drawn first and sets the dtype and trailing shape of the
+    output, which is allocated once; every chunk writes its own slice, so
+    the memory held is the output plus one chunk per worker.  Each chunk
+    reads only its own substream, so the result is identical for every
+    thread count.
     """
-    parts = _map_chunks(seed, n, draw, threads, chunk, "sample size")
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    out = None
+
+    def fill(span):
+        nonlocal out
+        index, start, m = span
+        part = draw(substream(seed, index), m)
+        if out is None:  # chunk 0, which no other chunk runs beside
+            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+        out[start:start + m] = part
+
+    _map_chunks(fill, _spans(n, chunk, "sample size"), threads)
+    return out
 
 
 def chunked_list(seed, n, build, threads=1, chunk=CHUNK_PATHS):
     """Like ``chunked_draws`` for builders returning lists of objects."""
-    parts = _map_chunks(seed, n, build, threads, chunk, "count")
+    parts = _map_chunks(
+        lambda span: build(substream(seed, span[0]), span[2]), _spans(n, chunk, "count"), threads
+    )
     return [item for part in parts for item in part]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import BLOCK_VALUES
 from .errors import ConfigurationError, DomainError
 from .evd_core import MaxStableLaw, doa_gap
 from .extremal_proc import sample_Y_at_time
@@ -35,21 +36,28 @@ PRELIMIT_ALLOWANCE = 0.01
 def ks_distance(sample, cdf):
     """One-sample KS statistic of a sorted sample against a d.f. callable.
 
-    max over i of max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|).
+    max over i of max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|).  ``cdf`` is
+    evaluated and both deviations reduced ``BLOCK_VALUES`` points at a time,
+    so the working memory is one block whatever the sample size; a NaN in
+    any block makes the statistic NaN.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise DomainError("KS distance needs a nonempty sample")
     if sample.ndim != 1:
         raise DomainError("KS distance expects a one-dimensional sample")
-    if np.any(np.diff(sample) < 0.0):
+    if np.any(sample[1:] < sample[:-1]):
         raise DomainError("KS distance expects a sorted sample")
     n = sample.size
-    f = np.asarray(cdf(sample), dtype=float)
-    i = np.arange(1, n + 1)
-    upper = np.abs(i / n - f).max()
-    lower = np.abs((i - 1) / n - f).max()
-    return float(max(upper, lower))
+    distance = 0.0
+    for start in range(0, n, BLOCK_VALUES):
+        x = sample[start:start + BLOCK_VALUES]
+        f = np.asarray(cdf(x), dtype=float)
+        steps = np.arange(start, start + x.size + 1) / n  # steps[:-1] is (i-1)/n, steps[1:] is i/n
+        distance = np.maximum(
+            distance, np.maximum(np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max())
+        )
+    return float(distance)
 
 
 def ks_two_sample(a, b):
@@ -221,9 +229,10 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1)
             "check is not defined for nu < 1"
         )
     family.validate_theta(theta)
-    scaled = theta * chunked_draws(
-        seed, n, lambda rng, m: family.sample_count(theta, rng, m), threads=threads
-    ).astype(float)
+    scaled = chunked_draws(
+        seed, n, lambda rng, m: family.sample_count(theta, rng, m).astype(float), threads=threads
+    )
+    scaled *= theta
     scaled.sort()
     grid = np.linspace(0.0, 12.0, 4801)
     empirical = np.searchsorted(scaled, grid, side="right") / n
@@ -377,16 +386,16 @@ def run_thm32(family, law, n, seed, threads=1):
         return sample_Y_at_time(law, z, rng, size=m)
 
     sample = chunked_draws(seed, n, draw, threads=threads)
+    sample.sort(axis=0)
     columns = [sample] if law.dim == 1 else [sample[:, i] for i in range(law.dim)]
     distances = []
     rows = []
     for i, column in enumerate(columns):
         marginal = law.marginals[i]
         cdf = lambda x, m=marginal: family.lt(m.v(x))
-        column = np.sort(column)
         distances.append(ks_distance(column, cdf))
-        for x in marginal.grid:
-            emp = np.searchsorted(column, x, side="right") / n
+        empirical = np.searchsorted(column, marginal.grid, side="right") / n
+        for x, emp in zip(marginal.grid, empirical):
             rows.append((i, float(x), float(emp), float(cdf(x))))
     distance = max(distances)
     critical = float(ks_critical(n))

@@ -142,6 +142,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ("theta 0.5\n", ["--config", "{cfg}"], 2),  # no '='
     ("theta=0.5\nunknown_key=1\n", ["--config", "{cfg}"], 2),
     ("theta=0.5\nn=abc\n", ["--config", "{cfg}"], 2),
+    ("theta=0.5\n", ["--conf", "{cfg}", "--n", "5"], 0),  # abbreviations argparse accepts
+    ("theta=0.5\n", ["--co={cfg}", "--n", "5"], 0),
+    ("theta=0.5\n", ["--c", "{cfg}", "--n", "5"], 0),
+    (None, ["--theta", "0.5", "--conf"], 2),
 ])
 def test_config_contract(tmp_path, capsys, text, argv, code):
     cfg = tmp_path / "run.cfg"
@@ -157,6 +161,12 @@ def test_config_contract(tmp_path, capsys, text, argv, code):
     code, explicit = run(["sample", "count", "--theta", "0.5", "--n", "5", "--seed", "1"], tmp_path, "x")
     assert code == 0
     assert read(out / "count.csv") == read(explicit / "count.csv")
+
+
+def test_only_config_starts_with_dash_dash_c():
+    # _splice_config takes every prefix of --config from --c up as --config
+    names = {flag.name for e in randmax.cli.EXPERIMENTS.values() for flag in e.flags + randmax.cli.COMMON}
+    assert [name for name in names if name.startswith("--c")] == ["--config"]
 
 
 def test_extremal_path_csv(tmp_path):

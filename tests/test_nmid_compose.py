@@ -29,6 +29,8 @@ from randmax import (
     substream,
     univariate,
 )
+from randmax._util import BLOCK_VALUES
+from randmax.nmid_compose import _half_line_rule
 
 GEOMETRIC = Geometric()
 DEGENERATE = Degenerate()
@@ -128,6 +130,25 @@ def test_mixture_degenerate_is_exactly_h():
     law = law_of(DEGENERATE, Frechet(1.0))
     x = np.asarray(Frechet.grid)
     assert np.array_equal(mixture_cdf(law, x), np.exp(-1.0 / x))
+
+
+def test_blocked_mixture_matches_one_shot():
+    t, weight = _half_line_rule(256)
+    coeff = weight * GEOMETRIC.mixer_density(t)
+
+    def one_shot(law, x):
+        return np.exp(-np.asarray(law.v(x))[..., None] * t) @ coeff
+
+    law = law_of(GEOMETRIC, Frechet(1.0))
+    x = np.exp(substream(67).uniform(np.log(1e-3), np.log(1e3), 5 * (BLOCK_VALUES // 256) + 7))
+    assert mixture_cdf(law, x).tobytes() == one_shot(law, x).tobytes()
+    law2 = NMaxStableLaw(GEOMETRIC, MaxStableLaw((Frechet(1.0), Frechet(1.0))))
+    for law, shaped in ((law, x[0]), (law, x[:7].reshape(1, 7)), (law, x[:600].reshape(20, 30)),
+                        (law2, x[:600].reshape(300, 2))):
+        expected = one_shot(law, shaped)
+        got = mixture_cdf(law, shaped)
+        assert np.shape(got) == np.shape(expected)
+        assert np.abs(got - expected).max() <= 1e-15
 
 
 def test_mixture_rejects_unsupported():

@@ -28,7 +28,7 @@ from randmax import (
     univariate,
 )
 from randmax.evd_core import Frechet
-from randmax.verify_harness import CSV_BLOCK_ROWS, format_value
+from randmax.verify_harness import BLOCK_VALUES, CSV_BLOCK_ROWS, format_value
 
 PARETO1 = standard_triple("pareto", 1.0)
 EXPONENTIAL = standard_triple("exponential")
@@ -71,6 +71,38 @@ def test_ks_distance_validation():
         ks_distance(np.asarray([2.0, 1.0]), lambda x: x)
     with pytest.raises(DomainError):
         ks_distance(np.asarray([[1.0, 2.0]]), lambda x: x)
+
+
+def _ks_one_shot(sample, cdf):
+    """The whole-sample KS formula, kept as the reference for the blocked statistic."""
+    n = sample.size
+    f = np.asarray(cdf(sample), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(max(np.abs(i / n - f).max(), np.abs((i - 1) / n - f).max()))
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
+                               3 * BLOCK_VALUES + 7])
+def test_blocked_ks_distance_is_exact(n):
+    model = Pareto(1.0)
+    draws = np.sort(sample_base(model, substream(64), n))
+    assert ks_distance(draws, model.cdf) == _ks_one_shot(draws, model.cdf)
+    sample = np.sort(substream(65).random(n))
+    assert ks_distance(sample, np.sqrt) == _ks_one_shot(sample, np.sqrt)
+
+
+def test_blocked_ks_distance_nan_and_unsorted_blocks():
+    n = 3 * BLOCK_VALUES + 7
+    sample = np.sort(substream(66).random(n))
+    with_nan = sample.copy()
+    with_nan[2 * BLOCK_VALUES + 3] = np.nan  # in a later block than the first
+    assert math.isnan(ks_distance(with_nan, lambda x: x))
+    assert math.isnan(_ks_one_shot(with_nan, lambda x: x))
+    straddling = sample.copy()
+    edge = BLOCK_VALUES
+    straddling[edge - 1], straddling[edge] = straddling[edge], straddling[edge - 1]
+    with pytest.raises(DomainError, match="sorted"):
+        ks_distance(straddling, lambda x: x)
 
 
 def test_ks_two_sample():
