@@ -8,7 +8,6 @@ reproducible experiments.
 
 from .errors import ConfigurationError, DomainError, RandmaxError
 from .evd_core import (
-    AttractionTriple,
     Frechet,
     Gumbel,
     MaxStableLaw,

@@ -310,7 +310,7 @@ EXPERIMENTS = {
                   Flag("--n", 10, int)),
         lambda a, seed: _sample_table(
             sample_random_max_seeded(
-                CountScheme(make_family(a), a.theta), parse_base(a.base).base, seed, a.n,
+                CountScheme(make_family(a), a.theta), parse_base(a.base), seed, a.n,
                 threads=a.threads,
             ),
             "randmax",

@@ -2,9 +2,10 @@
 
 Univariate max-stable marginal types (Frechet, Gumbel, reverse Weibull),
 bivariate dependence through closed-form exponent measures, Poisson-maximum
-distribution functions, and the three attraction triples (base law plus
-norming sequences plus max-stable target) used by the convergence
-experiments.
+distribution functions, and the three base laws of the convergence
+experiments.  Each base law G is its own attraction triple: it carries its
+norming ``(a_n, b_n)`` and its max-stable ``target`` H, and ``normed_base``
+is the one place G(a_n x + b_n) is evaluated.
 
 A max-stable law H is represented through its exponent function
 V(x) = mu([l, x]^c), so H(x) = exp(-V(x)) and coordinates below the lower
@@ -12,7 +13,7 @@ corner l yield exactly 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +148,11 @@ class ReverseWeibull(_Marginal):
         return apply_scalar(w, lambda w: self.loc - self.scale * w ** (1.0 / self.alpha))
 
     def norming(self, t):
-        a = t ** (-1.0 / self.alpha)
+        try:
+            a = t ** (-1.0 / self.alpha)
+        except OverflowError:
+            law = f"reverse-Weibull({self.alpha:g})"
+            raise _beyond_float_range(f"{law} norming constant") from None
         return a, self.loc * (1.0 - a)
 
 
@@ -159,6 +164,10 @@ def _check_positive(what, value):
 def _check_marginal(alpha, scale):
     _check_positive("shape parameter", alpha)
     _check_positive("scale", scale)
+
+
+def _beyond_float_range(what):
+    return DomainError(f"{what} beyond the float range (above {np.finfo(float).max:.6g})")
 
 
 MARGINAL_TYPES = (Frechet, Gumbel, ReverseWeibull)
@@ -273,7 +282,7 @@ def standard_points(law):
 
 
 # ---------------------------------------------------------------------------
-# Base distributions and Poisson maxima
+# Base laws, normed base laws and Poisson maxima
 # ---------------------------------------------------------------------------
 
 # A base law inverts both G (``ppf``) and its survival 1 - G (``isf``); the
@@ -310,13 +319,15 @@ class Pareto:
             with np.errstate(over="raise"):
                 return apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
         except FloatingPointError:
-            raise DomainError(
-                f"{self.name} quantile beyond the float range (above {np.finfo(float).max:.6g})"
-            ) from None
+            raise _beyond_float_range(f"{self.name} quantile") from None
 
     def norming(self, n):
-        return n ** (1.0 / self.alpha), 0.0
+        try:
+            return n ** (1.0 / self.alpha), 0.0
+        except OverflowError:
+            raise _beyond_float_range(f"{self.name} norming constant") from None
 
+    @property
     def target(self):
         return Frechet(self.alpha)
 
@@ -339,8 +350,7 @@ class UnitExponential:
     def norming(self, n):
         return 1.0, math.log(n)
 
-    def target(self):
-        return Gumbel()
+    target = Gumbel()
 
 
 @dataclass(frozen=True)
@@ -361,11 +371,42 @@ class StdUniform:
     def norming(self, n):
         return 1.0 / n, 1.0
 
-    def target(self):
-        return ReverseWeibull(1.0, loc=0.0)
+    target = ReverseWeibull(1.0, loc=0.0)
 
 
 BASE_TYPES = (Pareto, UnitExponential, StdUniform)
+
+
+def normed_base(base, n, grid=None):
+    """``(G(a_n x + b_n), V(x))`` for the target H = exp(-V), on ``grid`` or the target's grid."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if not isinstance(base, BASE_TYPES):
+        raise ConfigurationError(f"unsupported base law: {base!r}")
+    target = base.target
+    pts = np.asarray(target.grid if grid is None else grid, dtype=float)
+    a, b = base.norming(n)
+    return np.atleast_1d(base.cdf(a * pts + b)), np.atleast_1d(target.v(pts))
+
+
+def doa_gap(base, n, grid=None):
+    """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|)."""
+    g, v = normed_base(base, n, grid)
+    return float(np.abs(n * (1.0 - g) - v).max()), float(np.abs(g**n - np.exp(-v)).max())
+
+
+def standard_triple(name, alpha=1.0):
+    """One of the shipped base laws by name; each carries its norming and target."""
+    key = name.lower()
+    if key == "pareto":
+        return Pareto(alpha)
+    if key == "exponential":
+        return UnitExponential()
+    if key == "uniform":
+        return StdUniform()
+    raise ConfigurationError(
+        f"unknown base law {name!r}; expected pareto, exponential, or uniform"
+    )
 
 
 @dataclass(frozen=True)
@@ -401,60 +442,3 @@ def sample_base(base, rng, size=None):
         out = np.column_stack([b.ppf(u[:, i]) for i, b in enumerate(base)])
         return out[0] if size is None else out
     return base.ppf(rng.random(size))
-
-
-# ---------------------------------------------------------------------------
-# Attraction triples
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttractionTriple:
-    """A base d.f. G, its closed-form norming, and the max-stable target H."""
-
-    base: object
-    target: object = field(init=False, default=None)
-
-    def __post_init__(self):
-        if not isinstance(self.base, BASE_TYPES):
-            raise ConfigurationError(f"unsupported base law: {self.base!r}")
-        object.__setattr__(self, "target", self.base.target())
-
-    @property
-    def name(self):
-        return self.base.name
-
-    @property
-    def law(self):
-        return univariate(self.target)
-
-    def norming(self, n):
-        return self.base.norming(n)
-
-
-def doa_gap(triple, n, grid=None):
-    """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    target = triple.target
-    pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    a, b = triple.norming(n)
-    g = np.atleast_1d(triple.base.cdf(a * pts + b))
-    v = np.atleast_1d(target.v(pts))
-    tail = float(np.abs(n * (1.0 - g) - v).max())
-    cdf = float(np.abs(g**n - np.exp(-v)).max())
-    return tail, cdf
-
-
-def standard_triple(name, alpha=1.0):
-    """Construct one of the shipped attraction triples by name."""
-    key = name.lower()
-    if key == "pareto":
-        return AttractionTriple(Pareto(alpha))
-    if key == "exponential":
-        return AttractionTriple(UnitExponential())
-    if key == "uniform":
-        return AttractionTriple(StdUniform())
-    raise ConfigurationError(
-        f"unknown base law {name!r}; expected pareto, exponential, or uniform"
-    )

@@ -93,7 +93,7 @@ def chunked_draws(seed, n, draw, threads=1, chunk=CHUNK_DRAWS):
         index, start, m = span
         part = draw(substream(seed, index), m)
         if out is None:  # chunk 0, which no other chunk runs beside
-            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+            out = np.empty((n,) + part.shape[1:], dtype=part.dtype, order="F")
         out[start:start + m] = part
 
     _map_chunks(fill, _spans(n, chunk, "sample size"), threads)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import BLOCK_VALUES
 from .errors import ConfigurationError, DomainError
-from .evd_core import MaxStableLaw, doa_gap
+from .evd_core import MaxStableLaw, doa_gap, normed_base
 from .extremal_proc import sample_Y_at_time
 from .lt_families import CountScheme, MittagLeffler
 from .nmid_compose import NMaxStableLaw, same_type_decompose, sample_random_max_seeded
@@ -192,6 +192,16 @@ def _check_ns(ns):
             raise DomainError(f"n must be >= 1, got {n}")
 
 
+def _monotone(gaps):
+    """True when no gap exceeds the one before it by more than 1e-12."""
+    return all(later <= earlier + 1e-12 for earlier, later in zip(gaps, gaps[1:]))
+
+
+def _random_limit(family, v):
+    """phi(W) with W = ``family.limit_exponent(V)``: the limit of the random maximum at index n."""
+    return family.lt(family.limit_exponent(v))
+
+
 def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDENTITY_TOL):
     """Residuals of the composition identity P_theta(phi(theta s)) = phi(s)."""
     rows = []
@@ -252,25 +262,18 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1)
     )
 
 
-def run_definetti(family, triple, ns=DEFAULT_NS, grid=None, tol=1e-3):
+def run_definetti(family, base, ns=DEFAULT_NS, grid=None, tol=1e-3):
     """Gap of phi(n(1 - G(a_n x + b_n))) against phi(V(x)) along n."""
     _check_ns(ns)
-    target = triple.target
-    pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    v = np.atleast_1d(target.v(pts))
-    limit = family.lt(v)
-    rows = []
+    gaps = []
     for n in ns:
-        a, b = triple.norming(n)
-        g = np.atleast_1d(triple.base.cdf(a * pts + b))
-        gap = float(np.abs(family.lt(n * (1.0 - g)) - limit).max())
-        rows.append((int(n), gap))
-    gaps = [r[1] for r in rows]
-    monotone = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
-    table = Table.from_rows(name="gaps", columns=("n", "sup_gap"), rows=rows)
+        g, v = normed_base(base, n, grid)
+        gaps.append(float(np.abs(family.lt(n * (1.0 - g)) - family.lt(v)).max()))
+    monotone = _monotone(gaps)
+    table = Table(name="gaps", columns=("n", "sup_gap"), data=(list(map(int, ns)), gaps))
     return ExperimentReport(
         name="definetti",
-        params={"family": family.name, "triple": triple.name, "tolerance": tol},
+        params={"family": family.name, "triple": base.name, "tolerance": tol},
         seed=None,
         tables=(table,),
         stats={"final_gap": gaps[-1], "monotone": monotone},
@@ -280,7 +283,7 @@ def run_definetti(family, triple, ns=DEFAULT_NS, grid=None, tol=1e-3):
 
 def run_thm24(
     family,
-    triple,
+    base,
     ns=DEFAULT_NS,
     grid=None,
     tol=LIMIT_TOL,
@@ -305,31 +308,21 @@ def run_thm24(
     no domination is claimed.
     """
     _check_ns(ns)
-    target = triple.target
-    pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    v = np.atleast_1d(target.v(pts))
-    h = np.exp(-v)
-    f = family.lt(family.limit_exponent(v))
     rows = []
     for n in ns:
-        a, b = triple.norming(n)
-        g = np.atleast_1d(triple.base.cdf(a * pts + b))
-        det = float(np.abs(g ** int(n) - h).max())
-        ran = float(np.abs(family.pgf(family.index(n), g) - f).max())
+        g, v = normed_base(base, n, grid)
+        det = float(np.abs(g**n - np.exp(-v)).max())
+        ran = float(np.abs(family.pgf(family.index(n), g) - _random_limit(family, v)).max())
         rows.append((int(n), det, ran))
-    det_gaps = [r[1] for r in rows]
-    ran_gaps = [r[2] for r in rows]
-    monotone = all(
-        det_gaps[i + 1] <= det_gaps[i] + 1e-12 and ran_gaps[i + 1] <= ran_gaps[i] + 1e-12
-        for i in range(len(rows) - 1)
-    )
+    _, det_gaps, ran_gaps = zip(*rows)
+    monotone = _monotone(det_gaps) and _monotone(ran_gaps)
     witness = all(ran <= det + witness_slack for n, det, ran in rows if n >= witness_min_n)
     table = Table.from_rows(
         name="convergence", columns=("n", "sup_gap_deterministic", "sup_gap_random"), rows=rows
     )
     return ExperimentReport(
         name="thm24",
-        params={"family": family.name, "triple": triple.name, "tolerance": tol},
+        params={"family": family.name, "triple": base.name, "tolerance": tol},
         seed=None,
         tables=(table,),
         stats={
@@ -414,7 +407,7 @@ def run_thm32(family, law, n, seed, threads=1):
 
 def run_thm34(
     family,
-    triple,
+    base,
     n,
     m,
     seed,
@@ -435,21 +428,16 @@ def run_thm34(
     normalized random maximum at theta held against F by KS with the
     pre-limit allowance added to the critical value.
     """
-    target = triple.target
-    pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    tail_gap, cdf_gap = doa_gap(triple, n, grid=pts)
+    g, v = normed_base(base, n, grid)
+    tail_gap = float(np.abs(n * (1.0 - g) - v).max())
+    cdf_gap = float(np.abs(g**n - np.exp(-v)).max())
     theta = family.index(n)
+    random_gap = float(np.abs(family.pgf(theta, g) - _random_limit(family, v)).max())
 
-    def limit(x):
-        return family.lt(family.limit_exponent(np.atleast_1d(target.v(x))))
-
-    a, b = triple.norming(n)
-    g = np.atleast_1d(triple.base.cdf(a * pts + b))
-    random_gap = float(np.abs(family.pgf(theta, g) - limit(pts)).max())
-
-    scheme = CountScheme(family, theta)
-    draws = sample_random_max_seeded(scheme, triple.base, seed, m, threads=threads)
-    distance = ks_distance(np.sort((draws - b) / a), limit)
+    a, b = base.norming(n)
+    draws = sample_random_max_seeded(CountScheme(family, theta), base, seed, m, threads=threads)
+    normed = np.sort((draws - b) / a)
+    distance = ks_distance(normed, lambda x: _random_limit(family, base.target.v(x)))
     critical = float(ks_critical(m))
 
     analytic_ok = tail_gap < tol and random_gap < tol
@@ -461,7 +449,7 @@ def run_thm34(
     )
     return ExperimentReport(
         name="thm34",
-        params={"family": family.name, "triple": triple.name, "n": n, "m": m},
+        params={"family": family.name, "triple": base.name, "n": n, "m": m},
         seed=seed,
         tables=(table,),
         stats={
@@ -475,22 +463,18 @@ def run_thm34(
     )
 
 
-def run_doa_table(triple, ns=DEFAULT_NS, grid=None):
-    """Domain-of-attraction gaps along n for one triple."""
+def run_doa_table(base, ns=DEFAULT_NS, grid=None):
+    """Domain-of-attraction gaps along n for one base law."""
     _check_ns(ns)
-    rows = []
-    for n in ns:
-        tail_gap, cdf_gap = doa_gap(triple, n, grid=grid)
-        rows.append((int(n), tail_gap, cdf_gap))
-    monotone = all(
-        rows[i + 1][2] <= rows[i][2] + 1e-12 for i in range(len(rows) - 1)
-    )
+    rows = [(int(n), *doa_gap(base, n, grid=grid)) for n in ns]
+    _, final_tail, final_cdf = rows[-1]
+    monotone = _monotone([cdf_gap for _, _, cdf_gap in rows])
     table = Table.from_rows(name="gaps", columns=("n", "tail_gap", "cdf_gap"), rows=rows)
     return ExperimentReport(
         name="doa",
-        params={"triple": triple.name},
+        params={"triple": base.name},
         seed=None,
         tables=(table,),
-        stats={"final_tail_gap": rows[-1][1], "final_cdf_gap": rows[-1][2], "monotone": monotone},
-        passed=rows[-1][1] < 1e-3 and monotone,
+        stats={"final_tail_gap": final_tail, "final_cdf_gap": final_cdf, "monotone": monotone},
+        passed=final_tail < 1e-3 and monotone,
     )

@@ -124,7 +124,7 @@ def test_criterion_05_convergence_table():
     )
     # hand value at n = 100, x = 1: |P_0.01(0.99) - 1/2|
     hand = abs(0.01 * 0.99 / (1.0 - 0.99 * 0.99) - 0.5)
-    g100 = standard_triple("pareto", 1.0).base.cdf(100.0)
+    g100 = standard_triple("pareto", 1.0).cdf(100.0)
     at_x1 = abs(Geometric().pgf(0.01, g100) - 0.5)
     hand_ok = abs(at_x1 - hand) <= 0.10 * hand and abs(hand - 0.0025) < 0.0002
     elapsed = time.perf_counter() - start

@@ -355,6 +355,14 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "horizon 1e-320 gives a default floor of 0.0 outside the support, "
      "where 0 < V(floor) < inf; give a floor with --floor"),
     (["extremal", "path", "--horizon", "1e-320", "--floor", "0"], "floor must lie inside"),
+    (["table", "doa", "--triple", "pareto:0.001"],
+     "pareto(0.001) norming constant beyond the float range"),
+    (["verify", "definetti", "--triple", "pareto:0.01"],
+     "pareto(0.01) norming constant beyond the float range"),
+    (["verify", "thm34", "--triple", "pareto:0.002", "--m", "10"],
+     "pareto(0.002) norming constant beyond the float range"),
+    (["verify", "thm31", "--marginal", "reverse-weibull:0.001"],
+     "reverse-Weibull(0.001) norming constant beyond the float range"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -9,10 +9,12 @@ their one-shot forms peaked at 16 to 83 MB.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from randmax import (
     Frechet,
     Geometric,
+    MaxStableLaw,
     NMaxStableLaw,
     chunked_draws,
     ks_distance,
@@ -57,6 +59,14 @@ def test_thm32_memory():
     law = univariate(Frechet(1.0))
     run_thm32(Geometric(), law, 1_000, 3)  # warm caches outside the measurement
     assert peak_mb(lambda: run_thm32(Geometric(), law, 1_000_000, 3)) < 20
+
+
+@pytest.mark.parametrize("dependence", ["independence", "complete"])
+def test_thm32_bivariate_memory(dependence):
+    # draws are stored column-major, so sorting and searching a coordinate copies nothing
+    law = MaxStableLaw((Frechet(1.0), Frechet(1.0)), dependence=dependence)
+    run_thm32(Geometric(), law, 1_000, 3)
+    assert peak_mb(lambda: run_thm32(Geometric(), law, 1_000_000, 3)) < 21
 
 
 def test_chunked_draws_memory():

@@ -11,6 +11,7 @@ from randmax import (
     Pareto,
     PoissonMax,
     Table,
+    doa_gap,
     ks_critical,
     ks_distance,
     ks_two_sample,
@@ -154,16 +155,16 @@ def test_definetti_degenerate_is_poisson_maximum():
     n = 100
     a, b = PARETO1.norming(n)
     x = np.asarray(PARETO1.target.grid)
-    g = PARETO1.base.cdf(a * x + b)
+    g = PARETO1.cdf(a * x + b)
     via_family = DEGENERATE.lt(n * (1.0 - g))
-    via_poisson = PoissonMax(n, PARETO1.base).cdf(a * x + b)
+    via_poisson = PoissonMax(n, PARETO1).cdf(a * x + b)
     assert np.abs(via_family - via_poisson).max() < 1e-15
 
 
 def test_run_definetti_geometric_pointwise_example():
     # phi(n (1 - G(n x))) at x = 1 equals phi(1) = 0.5 for the exact Pareto tail
     n = 10_000
-    g = PARETO1.base.cdf(n * 1.0)
+    g = PARETO1.cdf(n * 1.0)
     assert abs(GEOMETRIC.lt(n * (1.0 - g)) - 0.5) < 5e-4
     report = run_definetti(GEOMETRIC, PARETO1)
     assert report.passed
@@ -208,7 +209,7 @@ def test_run_thm24_exponential_logistic_limit():
     assert report.passed
     # the random-column limit is the logistic law 1/(1 + exp(-x))
     x = np.asarray(EXPONENTIAL.target.grid)
-    limit = GEOMETRIC.lt(EXPONENTIAL.law.v(x))
+    limit = GEOMETRIC.lt(EXPONENTIAL.target.v(x))
     assert np.abs(limit - 1.0 / (1.0 + np.exp(-x))).max() < 1e-14
 
 
@@ -304,6 +305,16 @@ def test_run_thm34_degenerate_reduces_to_classical():
     stats = dict(report.stats)
     assert stats["tail_gap"] < 1e-12  # classical check with the exact tail
     assert report.passed
+
+
+@pytest.mark.parametrize("base", [PARETO1, EXPONENTIAL, UNIFORM], ids=lambda base: base.name)
+def test_limit_gaps_agree_across_runners(base):
+    # thm34, thm24 and the classical table read one normed base, so their gaps agree bit for bit
+    n = 10_000
+    ((_, tail_gap, cdf_gap, random_gap),) = run_thm34(GEOMETRIC, base, n, 1_000, 3).tables[0].rows
+    ((_, det_gap, ran_gap),) = run_thm24(GEOMETRIC, base, ns=(n,)).tables[0].rows
+    assert (tail_gap, cdf_gap) == doa_gap(base, n)
+    assert (cdf_gap, random_gap) == (det_gap, ran_gap)
 
 
 def test_run_doa_table():
