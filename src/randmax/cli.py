@@ -157,7 +157,7 @@ def emit_csv(table, path):
 
     The text is streamed in blocks of rows, never held whole in memory.
     """
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "wb") as f:
         f.writelines(table.csv_blocks())
 
 

@@ -5,7 +5,7 @@ bivariate dependence through closed-form exponent measures, Poisson-maximum
 distribution functions, and the three base laws of the convergence
 experiments.  Each base law G is its own attraction triple: it carries its
 norming ``(a_n, b_n)`` and its max-stable ``target`` H, and ``normed_base``
-is the one place G(a_n x + b_n) is evaluated.
+is the one place the normed survival 1 - G(a_n x + b_n) is evaluated.
 
 A max-stable law H is represented through its exponent function
 V(x) = mu([l, x]^c), so H(x) = exp(-V(x)) and coordinates below the lower
@@ -81,7 +81,7 @@ class Frechet(_Marginal):
         return apply_scalar(w, f)
 
     def norming(self, t):
-        a = t ** (1.0 / self.alpha)
+        a = _norming_scale(f"Frechet({self.alpha:g})", t, 1.0 / self.alpha)
         return a, self.loc * (1.0 - a)
 
 
@@ -148,11 +148,7 @@ class ReverseWeibull(_Marginal):
         return apply_scalar(w, lambda w: self.loc - self.scale * w ** (1.0 / self.alpha))
 
     def norming(self, t):
-        try:
-            a = t ** (-1.0 / self.alpha)
-        except OverflowError:
-            law = f"reverse-Weibull({self.alpha:g})"
-            raise _beyond_float_range(f"{law} norming constant") from None
+        a = _norming_scale(f"reverse-Weibull({self.alpha:g})", t, -1.0 / self.alpha)
         return a, self.loc * (1.0 - a)
 
 
@@ -168,6 +164,19 @@ def _check_marginal(alpha, scale):
 
 def _beyond_float_range(what):
     return DomainError(f"{what} beyond the float range (above {np.finfo(float).max:.6g})")
+
+
+def _norming_scale(law, t, power):
+    """The norming scale ``t ** power`` of ``law``, refused where it leaves the normal floats."""
+    try:
+        a = float(t) ** power
+    except OverflowError:
+        raise _beyond_float_range(f"{law} norming constant") from None
+    if a < np.finfo(float).tiny:
+        raise DomainError(
+            f"{law} norming constant beyond the float range (below {np.finfo(float).tiny:.6g})"
+        )
+    return a
 
 
 MARGINAL_TYPES = (Frechet, Gumbel, ReverseWeibull)
@@ -285,8 +294,8 @@ def standard_points(law):
 # Base laws, normed base laws and Poisson maxima
 # ---------------------------------------------------------------------------
 
-# A base law inverts both G (``ppf``) and its survival 1 - G (``isf``); the
-# latter stays exact for survivals far below the float spacing near 1.
+# A base law gives both G (``cdf``, ``ppf``) and its survival 1 - G (``sf``,
+# ``isf``); the survival stays exact far below the float spacing near 1.
 
 
 @dataclass(frozen=True)
@@ -311,6 +320,15 @@ class Pareto:
 
         return apply_scalar(x, f)
 
+    def sf(self, x):
+        def f(z):
+            out = np.ones(z.shape)
+            above = ~(z < 1.0)  # NaN stays NaN
+            out[above] = z[above] ** -self.alpha
+            return out
+
+        return apply_scalar(x, f)
+
     def ppf(self, u):
         return self.isf(1.0 - np.asarray(u, dtype=float))
 
@@ -322,10 +340,7 @@ class Pareto:
             raise _beyond_float_range(f"{self.name} quantile") from None
 
     def norming(self, n):
-        try:
-            return n ** (1.0 / self.alpha), 0.0
-        except OverflowError:
-            raise _beyond_float_range(f"{self.name} norming constant") from None
+        return _norming_scale(self.name, n, 1.0 / self.alpha), 0.0
 
     @property
     def target(self):
@@ -340,6 +355,9 @@ class UnitExponential:
 
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.where(z > 0.0, -np.expm1(-z), 0.0))
+
+    def sf(self, x):
+        return apply_scalar(x, lambda z: np.exp(-np.maximum(z, 0.0)))
 
     def ppf(self, u):
         return apply_scalar(u, lambda u: -np.log1p(-u))
@@ -362,6 +380,9 @@ class StdUniform:
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.clip(z, 0.0, 1.0))
 
+    def sf(self, x):
+        return apply_scalar(x, lambda z: np.clip(1.0 - z, 0.0, 1.0))
+
     def ppf(self, u):
         return apply_scalar(u, lambda u: u)
 
@@ -378,7 +399,11 @@ BASE_TYPES = (Pareto, UnitExponential, StdUniform)
 
 
 def normed_base(base, n, grid=None):
-    """``(G(a_n x + b_n), V(x))`` for the target H = exp(-V), on ``grid`` or the target's grid."""
+    """``(S, V)`` on ``grid`` or the target's grid: S = 1 - G(a_n x + b_n) and V(x).
+
+    S is the base's own survival, so it keeps its digits where G rounds to 1;
+    V is the exponent of the target H = exp(-V).
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not isinstance(base, BASE_TYPES):
@@ -386,13 +411,19 @@ def normed_base(base, n, grid=None):
     target = base.target
     pts = np.asarray(target.grid if grid is None else grid, dtype=float)
     a, b = base.norming(n)
-    return np.atleast_1d(base.cdf(a * pts + b)), np.atleast_1d(target.v(pts))
+    return np.atleast_1d(base.sf(a * pts + b)), np.atleast_1d(target.v(pts))
+
+
+def attraction_gaps(n, s, v):
+    """Gaps (sup |n S - V|, sup |(1 - S)^n - exp(-V)|) of a normed survival S, in survival space."""
+    with np.errstate(divide="ignore"):  # S = 1 below the support: (1 - S)^n = 0
+        power = np.exp(n * np.log1p(-s))
+    return float(np.abs(n * s - v).max()), float(np.abs(power - np.exp(-v)).max())
 
 
 def doa_gap(base, n, grid=None):
-    """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|)."""
-    g, v = normed_base(base, n, grid)
-    return float(np.abs(n * (1.0 - g) - v).max()), float(np.abs(g**n - np.exp(-v)).max())
+    """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|) of ``base``."""
+    return attraction_gaps(n, *normed_base(base, n, grid))
 
 
 def standard_triple(name, alpha=1.0):

@@ -41,6 +41,10 @@ class LaplaceFamily:
         """phi^{-1}(u) for u in (0, 1]; u = 0 maps to +inf."""
         raise NotImplementedError
 
+    def lt_inv_sf(self, s):
+        """phi^{-1}(1 - s) for a survival s in (0, 1), exact where 1 - s rounds to 1."""
+        raise NotImplementedError
+
     # -- count scheme ---------------------------------------------------
 
     def validate_theta(self, theta):
@@ -48,16 +52,24 @@ class LaplaceFamily:
 
     def pgf(self, theta, s):
         """P_theta(s) = phi(phi^{-1}(s)/theta) on [0, 1], with exact endpoints."""
+        return self._pgf(theta, s, self.lt_inv, 0.0)
+
+    def pgf_sf(self, theta, s):
+        """P_theta(1 - s) for a survival s in [0, 1]; exact where 1 - s rounds to 1."""
+        return self._pgf(theta, s, self.lt_inv_sf, 1.0)
+
+    def _pgf(self, theta, s, inverse, at_zero):
+        """phi(inverse(s)/theta) on [0, 1]; s = 0 gives ``at_zero`` and s = 1 the other end."""
         self.validate_theta(theta)
 
         def eval_pgf(arr):
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise DomainError("p.g.f. argument must lie in [0, 1]")
             out = np.empty_like(arr)
-            out[arr == 0.0] = 0.0
-            out[arr == 1.0] = 1.0
+            out[arr == 0.0] = at_zero
+            out[arr == 1.0] = 1.0 - at_zero
             inner = (arr > 0.0) & (arr < 1.0)
-            out[inner] = self.lt(self.lt_inv(arr[inner]) / theta)
+            out[inner] = self.lt(inverse(arr[inner]) / theta)
             return out
 
         return _apply(s, eval_pgf)
@@ -127,6 +139,9 @@ class Geometric(LaplaceFamily):
 
         return _apply(u, f)
 
+    def lt_inv_sf(self, s):
+        return _apply(s, lambda arr: arr / (1.0 - arr))
+
     def validate_theta(self, theta):
         if not 0.0 < theta < 1.0:
             raise ConfigurationError(
@@ -183,6 +198,9 @@ class MittagLeffler(LaplaceFamily):
 
         return _apply(u, f)
 
+    def lt_inv_sf(self, s):
+        return _apply(s, lambda arr: (arr / (1.0 - arr)) ** (1.0 / self.nu))
+
     def validate_theta(self, theta):
         if not 0.0 < theta < 1.0:
             raise ConfigurationError(
@@ -236,6 +254,9 @@ class Degenerate(LaplaceFamily):
                 return -np.log(arr)
 
         return _apply(u, f)
+
+    def lt_inv_sf(self, s):
+        return _apply(s, lambda arr: -np.log1p(-arr))
 
     def validate_theta(self, theta):
         if not 0.0 < theta <= 1.0:

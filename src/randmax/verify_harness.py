@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvtext import csv_rows, format_value
 from ._util import BLOCK_VALUES
 from .errors import ConfigurationError, DomainError
-from .evd_core import MaxStableLaw, doa_gap, normed_base
+from .evd_core import MaxStableLaw, attraction_gaps, doa_gap, normed_base
 from .extremal_proc import sample_Y_at_time
 from .lt_families import CountScheme, MittagLeffler
 from .nmid_compose import NMaxStableLaw, same_type_decompose, sample_random_max_seeded
@@ -82,31 +83,6 @@ def ks_critical(n, constant=KS_ONE_PERCENT):
 # ---------------------------------------------------------------------------
 
 
-def format_value(value):
-    """Render a cell: floats carry 17 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def _cells(column):
-    """A printf spec and the values it renders as ``format_value`` would.
-
-    A numeric array is converted to Python numbers in one pass; any other
-    column is formatted cell by cell.
-    """
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind in ("i", "u"):
-        return "%d", column.tolist()
-    if kind == "f":
-        return "%.17g", column.tolist()
-    return "%s", list(map(format_value, column))
-
-
 class _Rows:
     """The rows of a column-wise table, as tuples made on iteration."""
 
@@ -140,15 +116,13 @@ class Table:
         return _Rows(self.data)
 
     def csv_blocks(self):
-        """The CSV text in pieces: the header line, then ``CSV_BLOCK_ROWS`` rows at a time."""
-        yield ",".join(self.columns) + "\n"
+        """The CSV text as UTF-8 bytes: the header line, then ``CSV_BLOCK_ROWS`` rows at a time."""
+        yield (",".join(self.columns) + "\n").encode("utf-8")
         for start in range(0, len(self.rows), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            specs, cells = zip(*(_cells(column[block]) for column in self.data))
-            yield "".join(map((",".join(specs) + "\n").__mod__, zip(*cells)))
+            yield csv_rows([column[start:start + CSV_BLOCK_ROWS] for column in self.data])
 
     def csv_text(self):
-        return "".join(self.csv_blocks())
+        return b"".join(self.csv_blocks()).decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -267,8 +241,8 @@ def run_definetti(family, base, ns=DEFAULT_NS, grid=None, tol=1e-3):
     _check_ns(ns)
     gaps = []
     for n in ns:
-        g, v = normed_base(base, n, grid)
-        gaps.append(float(np.abs(family.lt(n * (1.0 - g)) - family.lt(v)).max()))
+        s, v = normed_base(base, n, grid)
+        gaps.append(float(np.abs(family.lt(n * s) - family.lt(v)).max()))
     monotone = _monotone(gaps)
     table = Table(name="gaps", columns=("n", "sup_gap"), data=(list(map(int, ns)), gaps))
     return ExperimentReport(
@@ -310,9 +284,9 @@ def run_thm24(
     _check_ns(ns)
     rows = []
     for n in ns:
-        g, v = normed_base(base, n, grid)
-        det = float(np.abs(g**n - np.exp(-v)).max())
-        ran = float(np.abs(family.pgf(family.index(n), g) - _random_limit(family, v)).max())
+        s, v = normed_base(base, n, grid)
+        _, det = attraction_gaps(n, s, v)
+        ran = float(np.abs(family.pgf_sf(family.index(n), s) - _random_limit(family, v)).max())
         rows.append((int(n), det, ran))
     _, det_gaps, ran_gaps = zip(*rows)
     monotone = _monotone(det_gaps) and _monotone(ran_gaps)
@@ -428,11 +402,10 @@ def run_thm34(
     normalized random maximum at theta held against F by KS with the
     pre-limit allowance added to the critical value.
     """
-    g, v = normed_base(base, n, grid)
-    tail_gap = float(np.abs(n * (1.0 - g) - v).max())
-    cdf_gap = float(np.abs(g**n - np.exp(-v)).max())
+    s, v = normed_base(base, n, grid)
+    tail_gap, cdf_gap = attraction_gaps(n, s, v)
     theta = family.index(n)
-    random_gap = float(np.abs(family.pgf(theta, g) - _random_limit(family, v)).max())
+    random_gap = float(np.abs(family.pgf_sf(theta, s) - _random_limit(family, v)).max())
 
     a, b = base.norming(n)
     draws = sample_random_max_seeded(CountScheme(family, theta), base, seed, m, threads=threads)

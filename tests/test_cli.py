@@ -222,6 +222,14 @@ def test_table_doa(tmp_path):
     assert len(lines) == 5
 
 
+def test_table_doa_far_tail(tmp_path, capsys):
+    code, _ = run(["table", "doa", "--ns", "10000000000000000"], tmp_path)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    stats = dict(line.split(" = ") for line in lines if " = " in line)
+    assert float(stats["final_tail_gap"]) < 1e-12
+
+
 def test_sample_bivariate_marginal(tmp_path):
     code, out = run(
         ["sample", "extremal-marginal", "--marginal", "frechet:1",
@@ -363,6 +371,8 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "pareto(0.002) norming constant beyond the float range"),
     (["verify", "thm31", "--marginal", "reverse-weibull:0.001"],
      "reverse-Weibull(0.001) norming constant beyond the float range"),
+    (["verify", "thm31", "--marginal", "frechet:0.001"],
+     "Frechet(0.001) norming constant beyond the float range (below"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -179,6 +179,13 @@ def test_doa_gap_pareto_hand_value():
     assert tail_gap < 1e-12  # the Pareto tail is exact under its norming
 
 
+def test_doa_gap_far_tail_in_survival_space():
+    # n(1 - G) cancels once 1 - G nears the float spacing at 1; the survival keeps its digits
+    for n in (10**12, 10**16):
+        tail_gap, cdf_gap = doa_gap(standard_triple("pareto", 1.0), n)
+        assert tail_gap < 1e-12 and cdf_gap < 1e-12, n
+
+
 def test_doa_gap_exponential_grid():
     triple = standard_triple("exponential")
     tail_gap, cdf_gap = doa_gap(triple, 10_000, grid=np.linspace(-1.0, 5.0, 61))

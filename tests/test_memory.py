@@ -24,6 +24,8 @@ from randmax import (
     substream,
     univariate,
 )
+from randmax.cli import emit_csv
+from randmax.verify_harness import Table
 
 MB = 1e6
 LAW = NMaxStableLaw(Geometric(), univariate(Frechet(1.0)))
@@ -76,3 +78,12 @@ def test_chunked_draws_memory():
 def test_lemma12_memory():
     run_lemma12(Geometric(), 0.001, 1_000, 3)
     assert peak_mb(lambda: run_lemma12(Geometric(), 0.001, 1_000_000, 3)) < 12
+
+
+def test_emit_csv_memory(tmp_path):
+    # one block of rows at a time: 1.7 MB at 4096-row blocks, 6.9 MB at 16384
+    n = 200_000
+    rng = substream(4)
+    table = Table("t", ("i", "x", "y"), (np.arange(n), rng.random(n), 1.0 / rng.random(n)))
+    emit_csv(Table("t", ("x",), (table.data[1][:10],)), tmp_path / "warm.csv")  # digit tables
+    assert peak_mb(lambda: emit_csv(table, tmp_path / "t.csv")) < 3

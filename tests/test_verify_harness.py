@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -389,3 +390,47 @@ def test_column_writer_matches_format_value():
     expected = "".join(f"{format_value(a)},{format_value(b)}\n" for a, b in zip(f, i))
     assert_same_text(Table("t", ("f", "i"), (f, i)).csv_text(), "f,i\n" + expected)
     assert Table("t", ("f", "i"), (np.empty(0), ())).csv_text() == "f,i\n"
+
+
+def test_csv_writer_matches_format_value_at_scale():
+    # the block writer against format_value, cell by cell, where its digits are hardest
+    rng = np.random.default_rng(15)
+    i64 = np.iinfo(np.int64)
+    # m 2^-j with m odd is an exact decimal tie at 17 digits when m 5^j has 18 digits
+    ties = np.array([m * 2.0**-j for j in range(2, 26)
+                     for m in rng.integers(10**17 // 5**j + 1, min(10**18 // 5**j, 2**53), 40) | 1])
+    assert all(len(Decimal(t).as_tuple().digits) == 18 for t in ties)
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    edges = np.array([
+        1.2345e-5, 9.9999999999999995e-5, 9.999999999999999e-5, 1e-4, 1.2345e-4,  # X = -5, -4
+        1e16, 9.999999999999999e16, 99999999999999999.0, 1.2345e17, 1e17,  # X = 16, 17
+        2.2250738585072014e-308, 2.225073858507201e-308, 5e-324, 1.7976931348623157e308,
+        0.5, 1.0, 1.5, 123456789.0, 1.0 / 3.0,
+    ])
+    subnormals = rng.integers(1, 2**52, 10_000, np.uint64).view(np.float64)
+    floats = np.concatenate([
+        rng.integers(0, 2**64, 1_000_000, np.uint64).view(np.float64),  # every class of double
+        ties, near, edges, subnormals,
+    ])
+    floats = np.concatenate([floats, -floats[-(len(floats) - 1_000_000):]])
+    ints = np.concatenate([
+        [i64.min, i64.min + 1, i64.max, -1, 0, 1],
+        *(rng.integers(-(10**k), 10**k, 1_000) for k in range(1, 19)),
+    ])
+    columns = [
+        floats,
+        rng.integers(0, 2**32, 100_000, np.uint32).view(np.float32),
+        ints,
+        np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+    ]
+    for column in columns:
+        # format_value of Python numbers: the same text as of numpy scalars, and faster
+        expected = "".join(format_value(v) + "\n" for v in column.tolist())
+        assert_same_text(Table("t", ("c",), (column,)).csv_text(), "c\n" + expected)
+    # rows that straddle block edges, with every kind of column side by side
+    n = 3 * CSV_BLOCK_ROWS + 7
+    objects = tuple(("a", 1, -2.5, None)[i % 4] for i in range(n))
+    mixed = (floats[:n], np.resize(ints, n), rng.random(n) < 0.5, objects)
+    expected = "".join(",".join(map(format_value, row)) + "\n" for row in zip(*mixed))
+    assert_same_text(Table("t", ("f", "i", "b", "o"), mixed).csv_text(), "f,i,b,o\n" + expected)
