@@ -65,7 +65,7 @@ class LaplaceFamily:
         def eval_pgf(arr):
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise DomainError("p.g.f. argument must lie in [0, 1]")
-            out = np.empty_like(arr)
+            out = np.full_like(arr, np.nan)  # NaN stays NaN
             out[arr == 0.0] = at_zero
             out[arr == 1.0] = 1.0 - at_zero
             inner = (arr > 0.0) & (arr < 1.0)

@@ -122,6 +122,18 @@ def test_pgf_maps_unit_interval_and_is_nondecreasing():
             assert np.all(np.diff(values) >= 0.0)
 
 
+def test_pgf_from_the_survival():
+    u = np.linspace(0.0, 1.0, 201)
+    for family in FAMILIES:
+        for theta in THETA_GRID:
+            assert np.abs(family.pgf_sf(theta, 1.0 - u) - family.pgf(theta, u)).max() < 1e-14
+            assert np.isnan(family.pgf(theta, np.array([np.nan, 0.5]))[0])
+            assert np.isnan(family.pgf_sf(theta, np.array([np.nan, 0.5]))[0])
+    # theta = 1/n and s = v/n, far below the float spacing at 1: P_theta(1 - s) -> 1/(1 + v)
+    v = np.array([0.5, 1.0, 2.0])
+    assert np.abs(Geometric().pgf_sf(1e-16, 1e-16 * v) - 1.0 / (1.0 + v)).max() < 1e-12
+
+
 def test_theta_validation():
     with pytest.raises(ConfigurationError):
         CountScheme(Geometric(), 1.0)
