@@ -2,10 +2,11 @@
 
 ``format_value`` renders one cell: floats as ``"%.17g"``, integers in full,
 booleans as ``true``/``false``.  ``csv_rows`` renders a block of equal-length
-columns at once.  A cell is a fixed run of little-endian uint64 words (byte k
-of a word at bits 8k) that holds every character the cell might print; a byte
-the row leaves out is set to 0xFF, which no UTF-8 text contains, and the row
-text is the block's bytes with every 0xFF deleted.
+columns at once.  A cell is a run of little-endian uint64 words (byte k of a
+word at bits 8k), as many in every row of a column's block, that holds every
+character the cell might print; a byte the row leaves out is set to 0xFF,
+which no UTF-8 text contains, and the row text is the block's bytes with
+every 0xFF deleted.
 
 Float digits come from an exact scaling by a power of ten (Gay 1990; Adams
 2019): ``|x| = M 2^E`` with an integer ``M < 2^53`` is multiplied by
@@ -30,7 +31,6 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's factor for 26-bit halves
 # round-half-even digits only format_value gets right.
 _TIE_BAND = 2.0**-44
 _INT64 = np.iinfo(np.int64)
-_ONES = np.uint64(2**64 - 1)
 _ZEROS = np.uint64(0x3030303030303030)  # "00000000"
 _LOW = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)  # the low b bytes of a word
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -209,17 +209,26 @@ def _float_cells(x):
 
 
 def _int_cells(v):
-    """Four words a row: [-] [pad] 19 digits from byte 5, the leading zeros left out; a pad word."""
+    """The fewest words a row that hold the block's longest number and a separator.
+
+    The digits end at the cell's next to last byte, the sign just before them:
+    the last word takes the lowest 7 digits, each word before it 8 more.
+    """
     beyond = v > _INT64.max if v.dtype == np.uint64 else v == _INT64.min
     w = np.where(beyond, 0, v).astype(np.int64)
     u = np.abs(w)
-    top, rest = np.divmod(u, 10**16)
-    words = _ascii8(np.stack([top, *np.divmod(rest, 10**8)]))
-    words = _kept(words, 23 - np.searchsorted(_POW10, u, side="right"), 24)
-    words[0] -= (w < 0).astype(np.uint64) * np.uint64(0xFF - 0x2D)  # byte 0: the sign
-    cells = np.empty((len(v), 4), dtype="<u8")
-    cells[:, :3] = words.T
-    cells[:, 3] = _ONES
+    length = np.searchsorted(_POW10, u, side="right") + 1 + (w < 0)
+    # the texts beyond int64 that format_value writes are at most 20 bytes long
+    width = max(int(length.max(initial=0)), 20 * bool(beyond.any())) // 8 + 1
+    rest, low = np.divmod(u, 10**7)
+    words = _ascii8(np.stack([*np.divmod(rest, 10**8), low][3 - width:]))
+    words[-1] >>= np.uint64(8)  # "0ddddddd" to the 7 digits at bytes 0-6
+    stop = 8 * width - 1
+    words = _kept(words, stop - length, stop)
+    neg = np.flatnonzero(w < 0)
+    at = stop - length[neg]  # the sign's byte, a leading "0" until now
+    words[at // 8, neg] -= np.uint64(0x30 - 0x2D) << (8 * (at % 8)).astype(np.uint64)
+    cells = np.ascontiguousarray(words.T)
     _fall_back(v, np.flatnonzero(beyond), cells)
     return cells
 

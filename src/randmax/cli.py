@@ -349,8 +349,17 @@ EXPERIMENTS = {
 }
 
 
-def build_parser(config=None):
-    """The ``randmax`` parser; ``config`` maps flag names without ``--`` to default values."""
+def _choices(names):
+    return "{" + ",".join(names) + "}"
+
+
+def build_parser(config=None, only=None):
+    """The ``randmax`` parser; ``config`` maps flag names without ``--`` to default values.
+
+    With ``only``, a key of ``EXPERIMENTS``, the parser holds just that
+    experiment, which is all an argv naming it can reach; the usage lines
+    still list every choice, so its output is the full parser's.
+    """
     config = config or {}
     width = max(len(f"{verb} {name}") for verb, name in EXPERIMENTS) + 3
     guide = "experiments:\n" + "".join(
@@ -363,12 +372,16 @@ def build_parser(config=None):
         epilog=guide,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    verbs = parser.add_subparsers(dest="verb", required=True)
+    # an explicit metavar would also rename the verb and experiment in argparse's error messages
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar=only and _choices(VERBS))
     subparsers = {}
     for (verb, name), experiment in EXPERIMENTS.items():
+        if only and (verb, name) != only:
+            continue
         if verb not in subparsers:
+            names = only and _choices(n for v, n in EXPERIMENTS if v == verb)
             subparsers[verb] = verbs.add_parser(verb, help=VERBS[verb]).add_subparsers(
-                dest="experiment", required=True
+                dest="experiment", required=True, metavar=names
             )
         p = subparsers[verb].add_parser(name, help=experiment.description)
         for flag in experiment.flags + COMMON:
@@ -385,7 +398,8 @@ def main(argv=None):
     except ConfigurationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    parser = build_parser(config)
+    key = tuple(argv[:2])
+    parser = build_parser(config, only=key if key in EXPERIMENTS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -299,7 +299,8 @@ def _check_unit_interval(arr):
 def _geometric_counts(p, rng, size):
     """Inversion sampling of the geometric law on {1, 2, ...} with success p."""
     u = rng.random(size)
-    k = np.ceil(np.log1p(-u) / np.log1p(-p))
+    with np.errstate(over="ignore"):  # an overflow to inf fails the int64 check below
+        k = np.ceil(np.log1p(-u) / np.log1p(-p))
     k = np.maximum(k, 1.0)
     if np.any(k >= 2.0**63):
         raise DomainError(

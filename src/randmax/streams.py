@@ -9,7 +9,6 @@ the number of worker threads.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,6 +70,8 @@ def _map_chunks(one, spans, threads):
     workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers <= 1:
         return [one(span) for span in spans]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: it costs every CLI start
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         first = pool.submit(one, spans[0]).result()
         return [first, *pool.map(one, spans[1:])]

@@ -213,6 +213,8 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1)
             "check is not defined for nu < 1"
         )
     family.validate_theta(theta)
+    if not 0.0 < threshold < 1.0:
+        raise ConfigurationError(f"threshold must be finite and in (0, 1), got {threshold}")
     scaled = chunked_draws(
         seed, n, lambda rng, m: family.sample_count(theta, rng, m).astype(float), threads=threads
     )

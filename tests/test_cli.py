@@ -1,10 +1,14 @@
+import argparse
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import randmax.cli
-from randmax.cli import emit_csv, main
+from randmax.cli import EXPERIMENTS, build_parser, emit_csv, main
 from randmax.verify_harness import CSV_BLOCK_ROWS, Table, format_value
 
 
@@ -262,6 +266,72 @@ def test_emit_csv_streams_the_row_wise_text(tmp_path):
     assert same  # a bool, so a failure prints no diff of 8000 lines
 
 
+def parse_outcome(build, argv, capsys):
+    """What parsing ``argv`` with ``build(config)`` gives: the namespace or exit code, and the output."""
+    argv, config = randmax.cli._splice_config(argv)
+    try:
+        result = vars(build(config).parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("key", list(EXPERIMENTS), ids=" ".join)
+@pytest.mark.parametrize("tail", [
+    ["-h"],
+    ["--bogus", "1"],  # unrecognized: the root parser's usage line
+    ["--seed", "x"],  # a bad value for a typed flag
+    ["--seed"],  # a flag without its value
+    [],  # a missing required flag, where the experiment has one
+    ["--config", "{cfg}"],  # defaults from a file, typed by the parser
+])
+def test_narrowed_parser_prints_what_the_full_parser_prints(tmp_path, capsys, key, tail):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=x\n")
+    argv = [*key, *(arg.replace("{cfg}", str(cfg)) for arg in tail)]
+    narrowed = parse_outcome(lambda config: build_parser(config, only=key), argv, capsys)
+    assert narrowed == parse_outcome(build_parser, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error: the following arguments are required: verb\n"),
+    (["--help"], "usage: randmax [-h] {verify,sample,extremal,table} ...\n"),
+    (["verify"], "error: the following arguments are required: experiment\n"),
+    (["verify", "--help"], "{poincare,lemma12,definetti,thm24,thm31,thm32,thm34} ...\n"),
+    (["verify", "nonsense"], "error: argument experiment: invalid choice: 'nonsense' "
+                             "(choose from 'poincare', 'lemma12', 'definetti', 'thm24', "
+                             "'thm31', 'thm32', 'thm34')\n"),
+])
+def test_root_argv_gets_the_full_parser(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert message in out + err
+    assert (code, out, err) == parse_outcome(build_parser, argv, capsys)
+
+
+def test_a_run_builds_only_its_experiment_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["table", "doa", "--out", str(tmp_path)]) == 0
+    assert built == ["table", "doa"]
+    capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures, with logging and queue, is imported only when threads run
+    src = Path(randmax.cli.__file__).resolve().parents[1]
+    code = "import sys, randmax.cli; sys.exit('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0
+
+
 def test_help_lists_experiments(capsys):
     assert main(["--help"]) == 0
     text = capsys.readouterr().out
@@ -373,6 +443,12 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "reverse-Weibull(0.001) norming constant beyond the float range"),
     (["verify", "thm31", "--marginal", "frechet:0.001"],
      "Frechet(0.001) norming constant beyond the float range (below"),
+    (["sample", "count", "--theta", "1e-320"], "exceeds the int64 range"),
+    (["sample", "randmax", "--theta", "1e-320"], "exceeds the int64 range"),
+    (["verify", "lemma12", "--threshold", "nan"], "threshold must be finite and in (0, 1), got nan"),
+    (["verify", "lemma12", "--threshold", "inf"], "threshold must be finite and in (0, 1), got inf"),
+    (["verify", "lemma12", "--threshold", "-1"], "threshold must be finite and in (0, 1), got -1.0"),
+    (["verify", "lemma12", "--threshold", "1"], "threshold must be finite and in (0, 1), got 1.0"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -392,6 +392,22 @@ def test_column_writer_matches_format_value():
     assert Table("t", ("f", "i"), (np.empty(0), ())).csv_text() == "f,i\n"
 
 
+def test_integer_cells_at_width_boundaries():
+    # an integer block's cells are as wide as its longest text: each value alone, then all at once
+    i64 = np.iinfo(np.int64)
+    values = [0, 9, -9, 10**7 - 1, -(10**7 - 1), 10**7, -(10**7), 10**8, 10**16,
+              i64.max, i64.min, 2**63, 2**64 - 1]
+    for dtype in (np.int32, np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        fits = [v for v in values if info.min <= v <= info.max]
+        for column in [*([v] for v in fits), fits]:
+            column = np.array(column, dtype=dtype)
+            expected = "".join(f"{format_value(a)},{format_value(b)}\n"
+                               for a, b in zip(column, column[::-1]))
+            assert_same_text(Table("t", ("a", "b"), (column, column[::-1])).csv_text(),
+                             "a,b\n" + expected)
+
+
 def test_csv_writer_matches_format_value_at_scale():
     # the block writer against format_value, cell by cell, where its digits are hardest
     rng = np.random.default_rng(15)
