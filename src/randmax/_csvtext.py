@@ -31,16 +31,9 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's factor for 26-bit halves
 # round-half-even digits only format_value gets right.
 _TIE_BAND = 2.0**-44
 _INT64 = np.iinfo(np.int64)
-_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
-_LOW = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)  # the low b bytes of a word
+_ZEROS = 0x3030303030303030  # "00000000"
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _TRUE, _FALSE = (int.from_bytes(text.ljust(8, b"\xff"), "little") for text in (b"true", b"false"))
-# A dot inserted at byte c of a word, from c = -1 (the dot lies in an earlier
-# word) to c = 8 (a later one): the bytes kept in place, the dot, and the bytes
-# taken from the word shifted up by one byte, indexed by c + 1.
-_IN_PLACE = np.array([0, *_LOW[:8].tolist(), 2**64 - 1], dtype=np.uint64)
-_DOT = np.array([0, *(0x2E << 8 * c for c in range(8)), 0], dtype=np.uint64)
-_SHIFTED = np.array([2**64 - 1, *(2**64 - 1 ^ int(m) for m in _LOW[1:]), 0], dtype=np.uint64)
 
 
 def format_value(value):
@@ -56,7 +49,7 @@ def format_value(value):
 
 @functools.cache
 def _tables():
-    """Per E, the scales of q(E) and q(E) + 1; per decimal exponent, its ``e+dd`` word.
+    """Per E, the scales of q(E) and q(E) + 1 (rows c_hh, c_hl, c_lo), their X - _X_MIN, and ``threshold``.
 
     Built on first use, from integer arithmetic, so importing costs nothing.
     q(E) = floor(log10 2^(52+E)) - 16 puts every y = M c(E) in [10^16, 2 10^17);
@@ -92,18 +85,56 @@ def _tables():
     c_lo = np.ldexp(np.array(lo)[k], scale).ravel()
     t = c_hi * _SPLIT
     c_hh = t - (t - c_hi)
-    # bytes 1..5 of a float cell's last word: "e+dd" or "e-ddd", or nothing for -4 <= X <= 16
-    exponent = [b"\xff" + (b"" if -4 <= x <= 16 else b"e%+03d" % x).ljust(7, b"\xff")
-                for x in range(_X_MIN, _X_MAX + 1)]
     return (
-        (c_hh, c_hi - c_hh, c_lo, (k + k_min).ravel() + 16),
-        np.array(threshold, dtype=np.int64),
-        np.array([int.from_bytes(word, "little") for word in exponent], dtype=np.uint64),
+        np.stack([c_hh, c_hi - c_hh, c_lo]),
+        (k + k_min).ravel() + 16 - _X_MIN,
+        np.array(threshold, dtype=np.float64),  # integers up to 2^53, exact
     )
 
 
+@functools.cache
+def _layouts():
+    """Per decimal exponent X, its layout class and its ``e+dd`` word; per layout, three masks.
+
+    A float cell is four words, 32 bytes: "0000000", the 17 digits, and at
+    bytes 25-31 the exponent text, if any.  Its layout is set by the class of
+    X (-4 <= X <= 16 prints X + 4 in fixed notation, 21 stands for e-notation),
+    the sign and the count p of digits printed, so row ``(class * 2 + sign) * 17
+    + p - 1`` of each mask: the bytes kept in place, the bytes taken from the
+    cell shifted up by one (after the dot), and the bytes written over them
+    (the dot, the sign, and 0xFF for every byte not printed).
+    """
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    # bytes 0..6 of a float cell's last word before the shift: "e+dd" or "e-ddd", or nothing
+    exponent = [(b"e%+03d" % x if x < -4 or x > 16 else b"").ljust(7, b"\xff") for x in xs]
+    cls, sign, p = (a.ravel() for a in np.meshgrid(range(22), range(2), range(1, 18), indexing="ij"))
+    x = np.where(cls < 21, cls - 4, 0)  # e-notation lays out one digit before the dot, as X = 0
+    zeros = np.maximum(-x, 0)  # the zeros of 0.000ddd, its leading 0 included
+    begin = 7 - zeros  # the first printed digit, or the 0 of 0.000ddd
+    dot = begin + np.maximum(x, 0) + 1  # the byte of the dot
+    stop = np.maximum(begin + zeros + p, dot)
+    stop += stop > dot  # the printed bytes end here
+    b = np.arange(32)[:, None]
+    fill = np.where((b < begin - sign) | (b >= stop) & (b < 25), 0xFF, 0)
+    fill[(b == dot) & (dot < stop)] = ord(".")
+    fill[(b == begin - 1) & (sign == 1)] = ord("-")
+    in_place = (b >= begin) & (b < np.minimum(dot, stop))
+    after_dot = (b > dot) & (b < stop) | (b > 24)
+    return (
+        np.where((xs >= -4) & (xs <= 16), xs + 4, 21),
+        np.array([int.from_bytes(word, "little") for word in exponent], dtype=np.int64),
+        _mask_words(in_place * 0xFF, after_dot * 0xFF, fill),
+    )
+
+
+def _mask_words(*masks):
+    """Tables of bytes, each (bytes, layouts), as little-endian words: (tables, words, layouts)."""
+    masks = np.stack(masks).astype(np.uint8).transpose(0, 2, 1)
+    return np.ascontiguousarray(masks).view("<u8").transpose(0, 2, 1).copy()
+
+
 def _digits(a):
-    """``(D, X, tie)`` for finite positive float64 ``a``: ``a ~ D 10^(X-16)``, 10^16 <= D < 10^17.
+    """``(D, X - _X_MIN, tie)`` for finite positive float64 ``a``: ``a ~ D 10^(X-16)``, 10^16 <= D < 10^17.
 
     D is ``a`` rounded to 17 significant digits unless ``tie`` is set.  With
     c = c_hi + c_lo, ``p + err = M c_hi`` exactly (Dekker's product on 26-bit
@@ -113,12 +144,12 @@ def _digits(a):
     3 * 2^-49, and p, a multiple of 2 above 2^53, is y's integer part less
     floor(r).
     """
-    (c_hh, c_hl, c_lo, exponent), threshold, _ = _tables()
+    scales, exponent, threshold = _tables()
     m, e = np.frexp(a)
     M = m * 9007199254740992.0  # 2^53
     row = e - (53 + _E_MIN)
-    pick = 2 * row + (M.astype(np.int64) >= threshold[row])
-    hh, hl, lo = c_hh[pick], c_hl[pick], c_lo[pick]
+    pick = 2 * row + (M >= np.take(threshold, row))
+    hh, hl, lo = np.take(scales, pick, axis=1)
     t = M * _SPLIT
     mh = t - (t - M)
     ml = M - mh
@@ -127,31 +158,24 @@ def _digits(a):
     whole = np.floor(r)
     frac = r - whole
     D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    X = exponent[pick]
     carry = D == 10**17  # 99999999999999999.5 and above round up to the next decade
     D[carry] = 10**16
-    return D, X + carry, np.abs(frac - 0.5) < _TIE_BAND
+    return D, np.take(exponent, pick) + carry, np.abs(frac - 0.5) < _TIE_BAND
 
 
 def _ascii8(v):
-    """Each integer ``0 <= v < 10^8`` as 8 decimal digits: a uint64 of ASCII bytes in reading order.
+    """Each int64 ``0 <= v < 10^8`` as 8 decimal digits: an int64 of ASCII bytes in reading order.
 
     The digits are split SIMD-within-a-register: into 4-digit halves in the two
     32-bit lanes, then 2-digit quarters, then single digits, each division by
-    100 or 10 an exact multiply and shift within its lane.
+    10^4, 100 or 10 an exact multiply and shift (within its lane).
     """
-    hi, lo = np.divmod(v.astype(np.uint64), np.uint64(10_000))
-    x = hi | lo << np.uint64(32)
-    h = (x * np.uint64(10486) >> np.uint64(20)) & np.uint64(0x0000007F0000007F)
-    x = h | (x - h * np.uint64(100)) << np.uint64(16)
-    h = (x * np.uint64(103) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
-    return (h | (x - h * np.uint64(10)) << np.uint64(8)) + _ZEROS
-
-
-def _kept(words, start, stop):
-    """``words`` (a row per word of a cell), the cell's bytes outside [start, stop) set to 0xFF."""
-    first = 8 * np.arange(len(words))[:, None]
-    return words | ~(_LOW[np.clip(stop - first, 0, 8)] & ~_LOW[np.clip(start - first, 0, 8)])
+    hi = v * 109951163 >> 40  # v // 10^4, exact below 10^8
+    x = hi | (v - hi * 10_000) << 32
+    h = (x * 10486 >> 20) & 0x0000007F0000007F
+    x = h | (x - h * 100) << 16
+    h = (x * 103 >> 10) & 0x000F000F000F000F
+    return (h | (x - h * 10) << 8) + _ZEROS
 
 
 def _put_texts(cells, rows, texts):
@@ -169,43 +193,57 @@ def _fall_back(values, rows, cells):
 
 
 def _float_cells(x):
-    """Four words a row: [pad] [-] [0000] 17 digits with a dot inserted, [e+dd(d)].
+    """Four words a row: "0000000", 17 digits and the exponent text, laid out as ``%.17g``.
 
     The digits of D start at byte 7, after seven "0"s: the zeros of 0.000ddd
-    are those just before it, and the sign is the byte before them.  The bytes
-    from the dot on move up one byte.  Only what ``%.17g`` prints is kept.
+    are those just before it, and the sign is the byte before them.  The
+    masks of the row's layout keep the bytes before the dot in place, take
+    those after it from the cell shifted up one byte, and write the dot, the
+    sign and 0xFF over the rest.
     """
     with np.errstate(invalid="ignore"):  # a float32 signalling NaN warns as it widens
         x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
     regular = np.isfinite(a) & (a != 0)
-    D, X, tie = _digits(np.where(regular, a, 1.0))
-    top, rest = np.divmod(D, 10**16)
-    fixed = (X >= -4) & (X <= 16)
-    zeros = np.where(fixed & (X < 0), -X, 0)
-    begin = 7 - zeros  # the first printed digit, or the 0 of 0.000ddd
-    cells = np.empty((len(x), 4), dtype="<u8")
-    words = np.empty((3, len(x)), dtype=np.uint64)
-    words[0] = _ZEROS + (top.astype(np.uint64) << np.uint64(56))
-    words[0] -= np.uint64(3) << (8 * (6 - zeros)).astype(np.uint64)  # "0" to "-" at the sign's byte
-    words[1:] = _ascii8(np.stack(np.divmod(rest, 10**8)))
+    D, xi, tie = _digits(np.where(regular, a, 1.0))
+    layout, exponent, masks = _layouts()
+    head = D // 10**8  # the first 9 digits
+    top = head // 10**8
+    words = np.empty((4, len(x)), dtype=np.int64)
+    words[0] = top << 56 | _ZEROS
+    words[1:3] = _ascii8(np.stack([head - top * 10**8, D - head * 10**8]))
+    words[3] = np.take(exponent, xi)
     # the last nonzero byte of each digit word, -1 for none: less "0"s, every byte is at most 9,
     # so the word's float keeps its bit length
-    last = (np.frexp((words[1:] ^ _ZEROS).astype(np.float64))[1] - 1) // 8
-    printed = np.where(last[1] >= 0, 10 + last[1], 2 + last[0]) + zeros  # the zeros of 0.000 too
-    dot = np.where(fixed & (X > 0), X + 1, 1)  # digits before the dot
-    stop = begin + np.maximum(printed, dot) + (printed > dot)
-    # byte 24 takes the last digit when all 17 follow a dot; the exponent comes after it
-    last_digit = words[2] >> np.uint64(56) | ~np.uint64(0xFF) | (stop < 25) * np.uint64(0xFF)
-    cells[:, 3] = last_digit & _tables()[2][X - _X_MIN]
+    last = (np.frexp((words[1:3] ^ _ZEROS).astype(np.float64))[1] - 1) // 8
+    printed = np.where(last[1] >= 0, 10 + last[1], 2 + last[0])  # digits of D, 1 to 17
+    row = (np.take(layout, xi) * 2 + np.signbit(x)) * 17 + printed - 1
+    in_place, after_dot, fill = np.take(masks, row, axis=2)
+    words = words.view(np.uint64)
     shifted = words << np.uint64(8)
     shifted[1:] |= words[:-1] >> np.uint64(56)
-    c = np.clip(begin + dot - 8 * np.arange(3)[:, None], -1, 8) + 1
-    words = (words & _IN_PLACE[c]) | _DOT[c] | (shifted & _SHIFTED[c])
-    words = _kept(words, begin - np.signbit(x), stop)
-    cells[:, :3] = words.T
+    words &= in_place
+    shifted &= after_dot
+    words |= shifted
+    cells = np.empty((len(x), 4), dtype="<u8")
+    np.bitwise_or(words, fill, out=cells.T)
     _fall_back(x, np.flatnonzero(~regular | tie), cells)
     return cells
+
+
+@functools.cache
+def _int_layouts(width):
+    """Per length (the sign included) and sign, row ``2 * length + sign``: the masks of an integer cell.
+
+    The digits end at byte ``8 width - 2``: the bytes kept in place, and the
+    bytes written over them (the sign, and 0xFF for every byte not printed).
+    """
+    length, sign = (a.ravel() for a in np.meshgrid(range(21), range(2), indexing="ij"))
+    start, stop = 8 * width - 1 - length, 8 * width - 1
+    b = np.arange(8 * width)[:, None]
+    fill = np.where((b < start) | (b >= stop), 0xFF, 0)
+    fill[(b == start) & (sign == 1)] = ord("-")
+    return _mask_words(((b >= start + sign) & (b < stop)) * 0xFF, fill)
 
 
 def _int_cells(v):
@@ -220,15 +258,15 @@ def _int_cells(v):
     length = np.searchsorted(_POW10, u, side="right") + 1 + (w < 0)
     # the texts beyond int64 that format_value writes are at most 20 bytes long
     width = max(int(length.max(initial=0)), 20 * bool(beyond.any())) // 8 + 1
-    rest, low = np.divmod(u, 10**7)
-    words = _ascii8(np.stack([*np.divmod(rest, 10**8), low][3 - width:]))
-    words[-1] >>= np.uint64(8)  # "0ddddddd" to the 7 digits at bytes 0-6
-    stop = 8 * width - 1
-    words = _kept(words, stop - length, stop)
-    neg = np.flatnonzero(w < 0)
-    at = stop - length[neg]  # the sign's byte, a leading "0" until now
-    words[at // 8, neg] -= np.uint64(0x30 - 0x2D) << (8 * (at % 8)).astype(np.uint64)
-    cells = np.ascontiguousarray(words.T)
+    rest = u // 10**7
+    high = rest // 10**8
+    words = _ascii8(np.stack([high, rest - high * 10**8, u - rest * 10**7][3 - width:]))
+    words[-1] >>= 8  # "0ddddddd" to the 7 digits at bytes 0-6
+    in_place, fill = np.take(_int_layouts(width), 2 * length + (w < 0), axis=2)
+    words = words.view(np.uint64)
+    words &= in_place
+    cells = np.empty((len(v), width), dtype="<u8")
+    np.bitwise_or(words, fill, out=cells.T)
     _fall_back(v, np.flatnonzero(beyond), cells)
     return cells
 

@@ -9,7 +9,7 @@ with rate V0 = V(y0); from the level V_k it holds for an exponential time
 with rate V_k and jumps to V_{k+1} = V_k U_k with U_k uniform on (0, 1),
 since P(W <= w | W > y) = 1 - V(w)/V(y).  So t_{k+1} = t_k + E_k / V_k,
 and the states are the levels mapped back through ``vinv``.  All paths of
-a substream chunk advance together, one jump index at a time.
+a group of substream chunks advance together, one jump index at a time.
 
 Evaluating the process at an independent random time Z drawn from the
 mixer (the variable whose Laplace transform is phi) reproduces the
@@ -25,7 +25,17 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, MaxStableLaw
-from .streams import as_generator, chunked_list, open_uniform
+from .streams import as_generator, chunked_list
+
+_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
+_PATH_RANGE = (
+    f"a path state lies beyond the float range (a level V below {_TINY:.6g} "
+    f"or a state beyond {_MAX:.6g})"
+)
+_Y_RANGE = (
+    f"Y(t) lies beyond the float range (a level E/t outside [{_TINY:.6g}, {_MAX:.6g}] "
+    f"or a state beyond {_MAX:.6g})"
+)
 
 
 @dataclass
@@ -108,35 +118,57 @@ def _path_marginal(law, horizon, floor):
     return m, y0, v0
 
 
-def _jump_chain(marginal, v0, horizon, rng, n):
-    """Jump counts, then flat jump times and states, of ``n`` paths started at level ``v0``.
-
-    Jump index k of every path still below the horizon is drawn at once: a
-    block of uniforms for the levels, then a block of exponentials for the
-    next jump times.  The levels are mapped to states once, at the end.
-    """
-    # an overflowing time lies past the horizon; an overflowing state is caught below
+def _states(marginal, levels, message):
+    """``marginal.vinv(levels)``; ``DomainError(message)`` where a level or a state leaves the floats."""
     with np.errstate(over="ignore", divide="ignore"):
-        ids, t, v = np.arange(n), rng.exponential(size=n) / v0, np.full(n, v0)
+        states = marginal.vinv(levels)
+    # a subnormal level may repeat, and an infinite level or state is no number
+    if not (np.all((levels >= _TINY) & (levels <= _MAX)) and np.all(np.isfinite(states))):
+        raise DomainError(message)
+    return states
+
+
+def _jump_chain(marginal, v0, horizon, rngs, sizes):
+    """Jump counts, then flat jump times and states, of paths started at level ``v0``.
+
+    ``sizes[j]`` paths read generator ``rngs[j]``: first the exponentials of
+    their first jump times, then at each jump index a block of uniforms for
+    the levels and a block of exponentials for the next jump times of those
+    still below the horizon.  The arithmetic of a jump index runs once on
+    the paths of every generator; each path's jumps are then placed at the
+    offset its count gives, and the levels are mapped to states once.
+    """
+    bounds = np.cumsum([0, *sizes])
+    n = int(bounds[-1])
+    t = np.empty(n)
+    for rng, a, b in zip(rngs, bounds[:-1], bounds[1:]):
+        rng.standard_exponential(out=t[a:b])  # the bits of rng.exponential(size=b - a)
+    # an overflowing time lies past the horizon; an overflowing state is caught by _states
+    with np.errstate(over="ignore", divide="ignore"):
+        ids, t, v = np.arange(n), t / v0, np.full(n, v0)
         jumps = [(ids[:0], t[:0], v[:0])]
         while True:
             alive = t <= horizon
             ids, t, v = ids[alive], t[alive], v[alive]
             if not ids.size:
                 break
-            v = v * open_uniform(rng, ids.size)
+            u, e = np.empty(ids.size), np.empty(ids.size)
+            cuts = np.searchsorted(ids, bounds).tolist()
+            for rng, a, b in zip(rngs, cuts[:-1], cuts[1:]):
+                if a < b:
+                    rng.random(out=u[a:b])
+                    rng.standard_exponential(out=e[a:b])
+            v = v * np.maximum(u, 2.0**-54)  # open_uniform: a uniform 0 moves to 2^-54
             jumps.append((ids, t, v))
-            t = t + rng.exponential(size=ids.size) / v
-        ids, t, v = (np.concatenate(c) for c in zip(*jumps))
-        order = np.argsort(ids, kind="stable")  # path by path, each in jump order
-        states = marginal.vinv(v[order])
-    # a subnormal level may repeat, and an infinite state is no number
-    if not (np.all(v >= np.finfo(float).tiny) and np.all(np.isfinite(states))):
-        raise DomainError(
-            "a path state lies beyond the float range (a level V below "
-            f"{np.finfo(float).tiny:.6g} or a state beyond {np.finfo(float).max:.6g})"
-        )
-    return np.bincount(ids, minlength=n), t[order], states
+            t = t + e / v
+    ids, t, v = (np.concatenate(c) for c in zip(*jumps))
+    counts = np.bincount(ids, minlength=n)
+    # jump k of path i goes k places after the path's first slot; jumps[0] is empty
+    k = np.repeat(np.arange(-1, len(jumps) - 1), [len(j[0]) for j in jumps])
+    slots = (np.cumsum(counts) - counts)[ids] + k
+    times, levels = np.empty_like(t), np.empty_like(v)
+    times[slots], levels[slots] = t, v
+    return counts, times, _states(marginal, levels, _PATH_RANGE)
 
 
 def simulate_path(law, horizon, rng, floor=None):
@@ -147,17 +179,17 @@ def simulate_path(law, horizon, rng, floor=None):
     mapped back to a state through ``vinv``.
     """
     m, y0, v0 = _path_marginal(law, horizon, floor)
-    _, times, states = _jump_chain(m, v0, horizon, as_generator(rng), 1)
+    _, times, states = _jump_chain(m, v0, horizon, [as_generator(rng)], [1])
     return ExtremalPath(times=times, states=states, horizon=float(horizon), floor=y0)
 
 
 def simulate_path_columns(law, horizon, n_paths, seed, floor=None, threads=1):
-    """``n_paths`` independent paths as ``PathColumns``, one substream chunk at a time."""
+    """``n_paths`` independent paths as ``PathColumns``, a run of substream chunks at a time."""
     m, y0, v0 = _path_marginal(law, horizon, floor)
-    chunks = chunked_list(
-        seed, n_paths, lambda rng, n: [_jump_chain(m, v0, horizon, rng, n)], threads=threads
+    groups = chunked_list(
+        seed, n_paths, lambda rngs, sizes: _jump_chain(m, v0, horizon, rngs, sizes), threads=threads
     )
-    counts, times, states = (np.concatenate(c) for c in zip(*chunks))
+    counts, times, states = (np.concatenate(c) for c in zip(*groups))
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
@@ -167,7 +199,7 @@ def simulate_paths(law, horizon, n_paths, seed, floor=None, threads=1):
 
 
 def sample_Y_at_time(law, t, rng, size=None):
-    """Exact draw of Y(t): per-coordinate inversion of exp(-t V).
+    """Exact draw of Y(t): per-coordinate inversion of exp(-t V), as the state of the level E/t.
 
     Independence draws one exponential per coordinate; complete dependence
     drives every coordinate with the same exponential.  The logistic model
@@ -183,15 +215,13 @@ def sample_Y_at_time(law, t, rng, size=None):
         )
     rng = as_generator(rng)
     n = 1 if size is None else size
-    if law.dim == 1:
-        e = rng.exponential(size=n)
-        out = law.marginals[0].vinv(e / t)
-        return float(out[0]) if size is None else out
-    if law.dependence == COMPLETE_DEPENDENCE:
-        e = rng.exponential(size=n)
-        cols = [m.vinv(e / t) for m in law.marginals]
+    if law.dim == 1 or law.dependence == COMPLETE_DEPENDENCE:
+        draws = [rng.exponential(size=n)] * law.dim
     else:
-        e = rng.exponential(size=(n, law.dim))
-        cols = [m.vinv(e[:, i] / t) for i, m in enumerate(law.marginals)]
+        draws = list(rng.exponential(size=(n, law.dim)).T)
+    with np.errstate(over="ignore"):
+        cols = [_states(m, e / t, _Y_RANGE) for m, e in zip(law.marginals, draws)]
+    if law.dim == 1:
+        return float(cols[0][0]) if size is None else cols[0]
     out = np.column_stack(cols)
     return out[0] if size is None else out

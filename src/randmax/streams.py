@@ -18,6 +18,11 @@ from .errors import ConfigurationError
 # reproducibility contract: changing them changes the stream assignment.
 CHUNK_DRAWS = 10_000
 CHUNK_PATHS = 100
+# Path chunks go to a builder in runs of GROUP_CHUNKS, which the jump chain
+# advances together: enough to spread numpy's per-call cost over 1600 paths,
+# few enough that its working arrays stay small beside its output.  The
+# output does not depend on it.
+GROUP_CHUNKS = 16
 
 
 def check_seed(seed):
@@ -102,8 +107,16 @@ def chunked_draws(seed, n, draw, threads=1, chunk=CHUNK_DRAWS):
 
 
 def chunked_list(seed, n, build, threads=1, chunk=CHUNK_PATHS):
-    """Like ``chunked_draws`` for builders returning lists of objects."""
-    parts = _map_chunks(
-        lambda span: build(substream(seed, span[0]), span[2]), _spans(n, chunk, "count"), threads
+    """``[build(rngs, sizes) for each run of GROUP_CHUNKS consecutive chunks]``, in order.
+
+    The ``n`` items are cut into fixed-size chunks as in ``chunked_draws``;
+    chunk ``j`` of a run holds ``sizes[j]`` items and reads ``rngs[j]``, its
+    own substream.  A worker takes a whole run, so the results are identical
+    for every thread count.
+    """
+    spans = _spans(n, chunk, "count")
+    runs = [spans[start:start + GROUP_CHUNKS] for start in range(0, len(spans), GROUP_CHUNKS)]
+    return _map_chunks(
+        lambda run: build([substream(seed, index) for index, _, _ in run], [m for _, _, m in run]),
+        runs, threads,
     )
-    return [item for part in parts for item in part]

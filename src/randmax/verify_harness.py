@@ -5,9 +5,9 @@ returns an ``ExperimentReport`` whose tables and summary render
 byte-identically for a given (experiment, parameters, seed).  Tolerances
 separate the three error regimes: closed-form identity checks at 1e-12,
 limit gaps at n = 10^4 below 2e-3, and Monte Carlo comparisons at the
-1 percent Kolmogorov-Smirnov level (critical value 1.628/sqrt(n)), with an
-explicit 0.01 pre-limit allowance when a finite-theta sample is held
-against its limit law.
+1 percent Kolmogorov-Smirnov level (critical value 1.628/sqrt(n), exact
+below n = 100), with an explicit 0.01 pre-limit allowance when a
+finite-theta sample is held against its limit law.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from .nmid_compose import NMaxStableLaw, same_type_decompose, sample_random_max_
 from .streams import chunked_draws
 
 KS_ONE_PERCENT = 1.628
+KS_EXACT_BELOW = 100  # sample sizes whose KS critical value is exact, not asymptotic
 IDENTITY_TOL = 1e-12
 LIMIT_TOL = 2e-3
 PRELIMIT_ALLOWANCE = 0.01
@@ -73,9 +74,48 @@ def ks_two_sample(a, b):
     return float(np.abs(ca - cb).max())
 
 
-def ks_critical(n, constant=KS_ONE_PERCENT):
-    """Critical KS distance at the 1 percent level for sample size n."""
-    return constant / np.sqrt(n)
+def _kolmogorov_cdf(n, d):
+    """P(D_n < d) for the one-sample KS statistic of n draws (Marsaglia, Tsang and Wang 2003).
+
+    The (k - 1, k - 1) entry of H^n times n!/n^n, where H is their (2k - 1)-square
+    matrix for k = floor(n d) + 1.  Products are summed in numpy, not BLAS, so
+    the value is the same on every run.
+    """
+    k = int(n * d) + 1
+    m = 2 * k - 1
+    h = k - n * d
+    i = np.arange(m)
+    gap = i[:, None] - i + 1
+    H = (gap >= 0).astype(float)
+    H[:, 0] -= h ** (i + 1)
+    H[-1] -= h ** (m - i)
+    H[-1, 0] += max(2 * h - 1, 0.0) ** m
+    H /= np.cumprod(np.arange(m + 1.0).clip(1))[gap.clip(0)]  # H[i, j] / (i - j + 1)!
+    power, q = H, None
+    for bit in bin(n)[:1:-1]:  # binary powering, lowest bit first
+        if bit == "1":
+            q = power if q is None else (q[:, :, None] * power).sum(axis=1)
+        power = (power[:, :, None] * power).sum(axis=1)
+    return float(q[k - 1, k - 1] * np.prod(np.arange(1, n + 1) / n))
+
+
+def ks_critical(n):
+    """Critical KS distance at the 1 percent level for sample size n.
+
+    Below ``KS_EXACT_BELOW`` draws, the exact 1 percent quantile of D_n, by
+    bisection on its d.f.; from there on the asymptotic 1.628/sqrt(n), which
+    lies about 1 percent above it at n = 100.  The asymptotic value exceeds 1,
+    the largest distance, for n <= 2, where no sample could fail the check.
+    """
+    if n >= KS_EXACT_BELOW:
+        return KS_ONE_PERCENT / np.sqrt(n)
+    n = int(n)
+    low, high = 0.5 / n, 1.0  # P(D_n < 1/(2n)) = 0 and P(D_n < 1) = 1
+    while True:
+        mid = 0.5 * (low + high)
+        if not low < mid < high:
+            return high
+        low, high = (mid, high) if _kolmogorov_cdf(n, mid) < 0.99 else (low, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +454,11 @@ def run_thm34(
     normed = np.sort((draws - b) / a)
     distance = ks_distance(normed, lambda x: _random_limit(family, base.target.v(x)))
     critical = float(ks_critical(m))
+    if critical + allowance >= 1.0:  # no KS distance exceeds 1
+        raise DomainError(
+            f"m = {m} draws cannot fail the KS check: its critical value {critical:.6g} "
+            f"plus the allowance {allowance:g} is at least 1"
+        )
 
     analytic_ok = tail_gap < tol and random_gap < tol
     ks_ok = distance < critical + allowance

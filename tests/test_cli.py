@@ -449,6 +449,10 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
     (["verify", "lemma12", "--threshold", "inf"], "threshold must be finite and in (0, 1), got inf"),
     (["verify", "lemma12", "--threshold", "-1"], "threshold must be finite and in (0, 1), got -1.0"),
     (["verify", "lemma12", "--threshold", "1"], "threshold must be finite and in (0, 1), got 1.0"),
+    (["sample", "extremal-marginal", "--marginal", "frechet:1e-300", "--n", "3"],
+     "Y(t) lies beyond the float range"),
+    (["sample", "extremal-marginal", "--t", "1e-320", "--n", "3"], "Y(t) lies beyond the float range"),
+    (["verify", "thm34", "--m", "1"], "m = 1 draws cannot fail the KS check"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -27,6 +27,8 @@ from randmax import (
     substream,
     univariate,
 )
+from randmax.extremal_proc import _path_marginal
+from randmax.streams import CHUNK_PATHS, GROUP_CHUNKS, open_uniform
 
 FRECHET1 = univariate(Frechet(1.0))
 
@@ -166,6 +168,59 @@ def test_path_seed_determinism():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.times, pb.times)
         assert np.array_equal(pa.states, pb.states)
+
+
+def reference_chain(marginal, v0, horizon, rng, n):
+    """One chunk's ``n`` paths advanced alone, sorted into path order by a stable argsort."""
+    with np.errstate(over="ignore", divide="ignore"):
+        ids, t, v = np.arange(n), rng.exponential(size=n) / v0, np.full(n, v0)
+        jumps = [(ids[:0], t[:0], v[:0])]
+        while True:
+            alive = t <= horizon
+            ids, t, v = ids[alive], t[alive], v[alive]
+            if not ids.size:
+                break
+            v = v * open_uniform(rng, ids.size)
+            jumps.append((ids, t, v))
+            t = t + rng.exponential(size=ids.size) / v
+        ids, t, v = (np.concatenate(c) for c in zip(*jumps))
+        order = np.argsort(ids, kind="stable")
+        states = marginal.vinv(v[order])
+    return np.bincount(ids, minlength=n), t[order], states
+
+
+@pytest.mark.parametrize("marginal", [Frechet(1.0), Gumbel(), ReverseWeibull(2.0)],
+                         ids=["frechet", "gumbel", "reverse-weibull"])
+@pytest.mark.parametrize("low_floor", [False, True], ids=["default-floor", "floor-at-V-1e8"])
+@pytest.mark.parametrize("n_paths", [1, 99, 100, 101, "group+1", "3groups+7"])
+def test_lockstep_chain_matches_per_chunk_chain(marginal, low_floor, n_paths):
+    group = GROUP_CHUNKS * CHUNK_PATHS
+    n_paths = {"group+1": group + 1, "3groups+7": 3 * group + 7}.get(n_paths, n_paths)
+    law, horizon, seed = univariate(marginal), 2.0, 71
+    floor = float(marginal.vinv(1e8)) if low_floor else None  # 1e-8 for Frechet(1)
+    m, _, v0 = _path_marginal(law, horizon, floor)
+    parts = [
+        reference_chain(m, v0, horizon, substream(seed, index), min(CHUNK_PATHS, n_paths - start))
+        for index, start in enumerate(range(0, n_paths, CHUNK_PATHS))
+    ]
+    expected = [np.concatenate(c) for c in zip(*parts)]
+    for threads in (1, 2, 3):
+        got = simulate_path_columns(law, horizon, n_paths, seed, floor=floor, threads=threads)
+        for a, b in zip((got.counts, got.times, got.states), expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("marginal", [Frechet(1.0), Gumbel(), ReverseWeibull(2.0)],
+                         ids=["frechet", "gumbel", "reverse-weibull"])
+def test_single_path_matches_per_chunk_chain(marginal):
+    law = univariate(marginal)
+    m, floor, v0 = _path_marginal(law, 3.0, None)
+    for index in range(20):
+        path = simulate_path(law, 3.0, substream(72, index))
+        _, times, states = reference_chain(m, v0, 3.0, substream(72, index), 1)
+        assert path.floor == floor
+        assert path.times.tobytes() == times.tobytes()
+        assert path.states.tobytes() == states.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,14 @@ from randmax import (
     univariate,
 )
 from randmax.evd_core import Frechet
-from randmax.verify_harness import BLOCK_VALUES, CSV_BLOCK_ROWS, format_value
+from randmax.verify_harness import (
+    BLOCK_VALUES,
+    CSV_BLOCK_ROWS,
+    KS_EXACT_BELOW,
+    KS_ONE_PERCENT,
+    _kolmogorov_cdf,
+    format_value,
+)
 
 PARETO1 = standard_triple("pareto", 1.0)
 EXPONENTIAL = standard_triple("exponential")
@@ -450,3 +457,23 @@ def test_csv_writer_matches_format_value_at_scale():
     mixed = (floats[:n], np.resize(ints, n), rng.random(n) < 0.5, objects)
     expected = "".join(",".join(map(format_value, row)) + "\n" for row in zip(*mixed))
     assert_same_text(Table("t", ("f", "i", "b", "o"), mixed).csv_text(), "f,i,b,o\n" + expected)
+
+
+def test_ks_critical_exact_at_small_n():
+    # the example of Marsaglia, Tsang and Wang (2003)
+    assert abs(_kolmogorov_cdf(10, 0.274) - 0.6284796154565043) < 1e-14
+    # 1 percent points: n = 1 and 2 in closed form, then Massey's (1951) table
+    assert ks_critical(1) == 0.995
+    assert abs(ks_critical(2) - (1 - math.sqrt(0.005))) < 1e-15
+    for n, d in ((3, 0.829), (5, 0.669), (10, 0.489), (20, 0.352), (35, 0.269)):
+        assert abs(ks_critical(n) - d) < 5e-4, n
+    assert all(ks_critical(n) < 1 for n in range(1, KS_EXACT_BELOW))
+    assert ks_critical(KS_EXACT_BELOW) == KS_ONE_PERCENT / math.sqrt(KS_EXACT_BELOW)
+
+
+def test_small_sample_ks_check_can_fail():
+    # two draws from the top of (0, 1) are no uniform sample; 1.628/sqrt(2) = 1.15 passed them
+    assert ks_distance(np.array([0.97, 0.99]), lambda u: u) > ks_critical(2)
+    # seed 121 draws a 1-in-100 pair of subordinated Frechet values
+    report = run_thm32(GEOMETRIC, univariate(Frechet(1.0)), 2, seed=121)
+    assert report.stats["critical"] == ks_critical(2) and not report.passed
