@@ -119,11 +119,14 @@ def _path_marginal(law, horizon, floor):
 
 
 def _states(marginal, levels, message):
-    """``marginal.vinv(levels)``; ``DomainError(message)`` where a level or a state leaves the floats."""
-    with np.errstate(over="ignore", divide="ignore"):
-        states = marginal.vinv(levels)
-    # a subnormal level may repeat, and an infinite level or state is no number
-    if not (np.all((levels >= _TINY) & (levels <= _MAX)) and np.all(np.isfinite(states))):
+    """``marginal.vinv(levels)``; ``DomainError(message)`` where a level or a state leaves the floats.
+
+    Call it with overflow and division warnings off: the overflows it refuses.
+    """
+    states = marginal.vinv(levels)
+    # a subnormal level may repeat, and an infinite level or state is no number (NaN fails too)
+    if not (levels.min(initial=_MAX) >= _TINY and levels.max(initial=_TINY) <= _MAX
+            and states.min(initial=0.0) >= -_MAX and states.max(initial=0.0) <= _MAX):
         raise DomainError(message)
     return states
 
@@ -161,14 +164,14 @@ def _jump_chain(marginal, v0, horizon, rngs, sizes):
             v = v * np.maximum(u, 2.0**-54)  # open_uniform: a uniform 0 moves to 2^-54
             jumps.append((ids, t, v))
             t = t + e / v
-    ids, t, v = (np.concatenate(c) for c in zip(*jumps))
-    counts = np.bincount(ids, minlength=n)
-    # jump k of path i goes k places after the path's first slot; jumps[0] is empty
-    k = np.repeat(np.arange(-1, len(jumps) - 1), [len(j[0]) for j in jumps])
-    slots = (np.cumsum(counts) - counts)[ids] + k
-    times, levels = np.empty_like(t), np.empty_like(v)
-    times[slots], levels[slots] = t, v
-    return counts, times, _states(marginal, levels, _PATH_RANGE)
+        ids, t, v = (np.concatenate(c) for c in zip(*jumps))
+        counts = np.bincount(ids, minlength=n)
+        # jump k of path i goes k places after the path's first slot; jumps[0] is empty
+        k = np.repeat(np.arange(-1, len(jumps) - 1), [len(j[0]) for j in jumps])
+        slots = (np.cumsum(counts) - counts)[ids] + k
+        times, levels = np.empty_like(t), np.empty_like(v)
+        times[slots], levels[slots] = t, v
+        return counts, times, _states(marginal, levels, _PATH_RANGE)
 
 
 def simulate_path(law, horizon, rng, floor=None):
@@ -219,7 +222,7 @@ def sample_Y_at_time(law, t, rng, size=None):
         draws = [rng.exponential(size=n)] * law.dim
     else:
         draws = list(rng.exponential(size=(n, law.dim)).T)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         cols = [_states(m, e / t, _Y_RANGE) for m, e in zip(law.marginals, draws)]
     if law.dim == 1:
         return float(cols[0][0]) if size is None else cols[0]

@@ -109,6 +109,8 @@ def ks_critical(n):
     """
     if n >= KS_EXACT_BELOW:
         return KS_ONE_PERCENT / np.sqrt(n)
+    if not n >= 1:
+        raise DomainError(f"a KS check needs at least one draw, got n = {n}")
     n = int(n)
     low, high = 0.5 / n, 1.0  # P(D_n < 1/(2n)) = 0 and P(D_n < 1) = 1
     while True:

@@ -469,6 +469,9 @@ def test_ks_critical_exact_at_small_n():
         assert abs(ks_critical(n) - d) < 5e-4, n
     assert all(ks_critical(n) < 1 for n in range(1, KS_EXACT_BELOW))
     assert ks_critical(KS_EXACT_BELOW) == KS_ONE_PERCENT / math.sqrt(KS_EXACT_BELOW)
+    for n in (0, -3, float("nan")):
+        with pytest.raises(DomainError, match="at least one draw"):
+            ks_critical(n)
 
 
 def test_small_sample_ks_check_can_fail():
