@@ -4,8 +4,8 @@ Univariate max-stable marginal types (Frechet, Gumbel, reverse Weibull),
 bivariate dependence through closed-form exponent measures, Poisson-maximum
 distribution functions, and the three base laws of the convergence
 experiments.  Each base law G is its own attraction triple: it carries its
-norming ``(a_n, b_n)`` and its max-stable ``target`` H, and ``normed_base``
-is the one place the normed survival 1 - G(a_n x + b_n) is evaluated.
+normed law ``normed(n)``, that of (X - b_n)/a_n, and its max-stable
+``target`` H, and ``normed_base`` evaluates the normed survival on a grid.
 
 A max-stable law H is represented through its exponent function
 V(x) = mu([l, x]^c), so H(x) = exp(-V(x)) and coordinates below the lower
@@ -294,8 +294,20 @@ def standard_points(law):
 # Base laws, normed base laws and Poisson maxima
 # ---------------------------------------------------------------------------
 
-# A base law gives both G (``cdf``, ``ppf``) and its survival 1 - G (``sf``,
-# ``isf``); the survival stays exact far below the float spacing near 1.
+# A base law gives G (``cdf``, ``ppf``), its survival quantile ``isf`` and its normed
+# law ``normed(n)`` in closed form, so no point a_n x + b_n or raw maximum is formed.
+
+
+@dataclass(frozen=True)
+class NormedBase:
+    """The law of (X - b_n)/a_n: a closed survival form ``survival`` and its inverse ``isf``."""
+
+    survival: object
+    isf: object
+
+    def sf(self, x):
+        with np.errstate(divide="ignore", over="ignore"):  # a form overflows to survival 1
+            return apply_scalar(x, self.survival)
 
 
 @dataclass(frozen=True)
@@ -320,15 +332,6 @@ class Pareto:
 
         return apply_scalar(x, f)
 
-    def sf(self, x):
-        def f(z):
-            out = np.ones(z.shape)
-            above = ~(z < 1.0)  # NaN stays NaN
-            out[above] = z[above] ** -self.alpha
-            return out
-
-        return apply_scalar(x, f)
-
     def ppf(self, u):
         return self.isf(1.0 - np.asarray(u, dtype=float))
 
@@ -339,8 +342,11 @@ class Pareto:
         except FloatingPointError:
             raise _beyond_float_range(f"{self.name} quantile") from None
 
-    def norming(self, n):
-        return _norming_scale(self.name, n, 1.0 / self.alpha), 0.0
+    def normed(self, n):
+        return NormedBase(
+            lambda z: np.minimum(np.where(z <= 0.0, 0.0, z) ** -self.alpha / n, 1.0),
+            lambda s: self.isf(n * s),
+        )
 
     @property
     def target(self):
@@ -356,17 +362,14 @@ class UnitExponential:
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.where(z > 0.0, -np.expm1(-z), 0.0))
 
-    def sf(self, x):
-        return apply_scalar(x, lambda z: np.exp(-np.maximum(z, 0.0)))
-
     def ppf(self, u):
         return apply_scalar(u, lambda u: -np.log1p(-u))
 
     def isf(self, s):
         return apply_scalar(s, lambda s: -np.log(s))
 
-    def norming(self, n):
-        return 1.0, math.log(n)
+    def normed(self, n):
+        return NormedBase(lambda z: np.minimum(np.exp(-z) / n, 1.0), lambda s: self.isf(n * s))
 
     target = Gumbel()
 
@@ -380,17 +383,14 @@ class StdUniform:
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.clip(z, 0.0, 1.0))
 
-    def sf(self, x):
-        return apply_scalar(x, lambda z: np.clip(1.0 - z, 0.0, 1.0))
-
     def ppf(self, u):
         return apply_scalar(u, lambda u: u)
 
     def isf(self, s):
         return apply_scalar(s, lambda s: 1.0 - s)
 
-    def norming(self, n):
-        return 1.0 / n, 1.0
+    def normed(self, n):
+        return NormedBase(lambda z: np.clip(-z / n, 0.0, 1.0), lambda s: -n * s)
 
     target = ReverseWeibull(1.0, loc=0.0)
 
@@ -401,33 +401,46 @@ BASE_TYPES = (Pareto, UnitExponential, StdUniform)
 def normed_base(base, n, grid=None):
     """``(S, V)`` on ``grid`` or the target's grid: S = 1 - G(a_n x + b_n) and V(x).
 
-    S is the base's own survival, so it keeps its digits where G rounds to 1;
-    V is the exponent of the target H = exp(-V).
+    S is the survival of ``base.normed(n)``, so it keeps its digits where G
+    rounds to 1; V is the exponent of the target H = exp(-V), inf where it
+    overflows.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if n > float(np.finfo(float).max):  # a Python int compares exactly
+        raise _beyond_float_range("n")
     if not isinstance(base, BASE_TYPES):
         raise ConfigurationError(f"unsupported base law: {base!r}")
     target = base.target
     pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    a, b = base.norming(n)
-    return np.atleast_1d(base.sf(a * pts + b)), np.atleast_1d(target.v(pts))
+    with np.errstate(over="ignore"):  # V = inf, where it overflows, gives no float tail gap
+        v = target.v(pts)
+    return np.atleast_1d(base.normed(n).sf(pts)), np.atleast_1d(v)
 
 
-def attraction_gaps(n, s, v):
-    """Gaps (sup |n S - V|, sup |(1 - S)^n - exp(-V)|) of a normed survival S, in survival space."""
+def tail_gap(n, s, v):
+    """sup |n S - V| of a normed survival S; DomainError where V, and so the gap, is no float."""
+    gap = float(np.abs(n * s - v).max())
+    if not np.isfinite(gap):
+        raise _beyond_float_range(f"tail gap n S - V at n = {n}")
+    return gap
+
+
+def cdf_gap(n, s, v):
+    """sup |(1 - S)^n - exp(-V)| of a normed survival S, in survival space."""
     with np.errstate(divide="ignore"):  # S = 1 below the support: (1 - S)^n = 0
         power = np.exp(n * np.log1p(-s))
-    return float(np.abs(n * s - v).max()), float(np.abs(power - np.exp(-v)).max())
+    return float(np.abs(power - np.exp(-v)).max())
 
 
 def doa_gap(base, n, grid=None):
     """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|) of ``base``."""
-    return attraction_gaps(n, *normed_base(base, n, grid))
+    s, v = normed_base(base, n, grid)
+    return tail_gap(n, s, v), cdf_gap(n, s, v)
 
 
 def standard_triple(name, alpha=1.0):
-    """One of the shipped base laws by name; each carries its norming and target."""
+    """One of the shipped base laws by name; each carries its normed law and target."""
     key = name.lower()
     if key == "pareto":
         return Pareto(alpha)

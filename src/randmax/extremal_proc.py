@@ -107,7 +107,8 @@ def _path_marginal(law, horizon, floor):
         raise DomainError(f"horizon must be finite and positive, got {horizon}")
     m = law.marginals[0]
     y0 = default_floor(m, horizon) if floor is None else float(floor)
-    v0 = m.v(y0)
+    with np.errstate(over="ignore"):  # V(y0) = inf is refused below
+        v0 = m.v(y0)
     if not 0.0 < v0 < np.inf:
         if floor is None:
             raise DomainError(

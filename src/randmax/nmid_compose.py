@@ -135,7 +135,8 @@ def same_type_decompose(law, theta, grid=None):
     if not isinstance(law.base, MaxStableLaw):
         raise ConfigurationError("the same-type decomposition needs a max-stable base")
     pts = standard_points(law.base) if grid is None else np.asarray(grid, dtype=float)
-    v = np.atleast_1d(law.base.v(pts))
+    with np.errstate(over="ignore"):  # an infinite V is refused below
+        v = np.atleast_1d(law.base.v(pts))
     if np.any(np.isinf(v)):
         raise DomainError("decomposition grid must lie inside the support of the base law")
     f_full = law.family.lt(v)

@@ -234,6 +234,31 @@ def test_table_doa_far_tail(tmp_path, capsys):
     assert float(stats["final_tail_gap"]) < 1e-12
 
 
+def test_verify_thm34_uniform_far_tail(tmp_path, capsys):
+    # the normed uniform maximum is drawn as -n S, never as 1 - S rounded near 1
+    code, _ = run(
+        ["verify", "thm34", "--triple", "uniform", "--n", "10000000000000000", "--seed", "11"],
+        tmp_path,
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    stats = dict(line.split(" = ") for line in lines if " = " in line)
+    assert float(stats["tail_gap"]) < 1e-12
+
+
+@pytest.mark.parametrize("argv, name, column", [
+    (["table", "doa", "--triple", "pareto:0.001"], "doa_gaps.csv", "tail_gap"),
+    (["verify", "definetti", "--triple", "pareto:0.01"], "definetti_gaps.csv", "sup_gap"),
+])
+def test_small_pareto_exponent_gaps_are_exact(tmp_path, argv, name, column):
+    # n^(1/alpha) is no float here, but the normed survival x^-alpha / n needs no norming constant
+    code, out = run(argv, tmp_path)
+    assert code == 0
+    header, *rows = (out / name).read_text().splitlines()
+    index = header.split(",").index(column)
+    assert rows and all(float(row.split(",")[index]) < 1e-12 for row in rows)
+
+
 def test_sample_bivariate_marginal(tmp_path):
     code, out = run(
         ["sample", "extremal-marginal", "--marginal", "frechet:1",
@@ -433,12 +458,10 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "horizon 1e-320 gives a default floor of 0.0 outside the support, "
      "where 0 < V(floor) < inf; give a floor with --floor"),
     (["extremal", "path", "--horizon", "1e-320", "--floor", "0"], "floor must lie inside"),
-    (["table", "doa", "--triple", "pareto:0.001"],
-     "pareto(0.001) norming constant beyond the float range"),
-    (["verify", "definetti", "--triple", "pareto:0.01"],
-     "pareto(0.01) norming constant beyond the float range"),
+    (["table", "doa", "--triple", "pareto:600"], "tail gap n S - V at n = 10 beyond the float range"),
+    (["table", "doa", "--triple", "pareto:1e300"], "tail gap n S - V at n = 10 beyond the float range"),
     (["verify", "thm34", "--triple", "pareto:0.002", "--m", "10"],
-     "pareto(0.002) norming constant beyond the float range"),
+     "pareto(0.002) quantile beyond the float range"),
     (["verify", "thm31", "--marginal", "reverse-weibull:0.001"],
      "reverse-Weibull(0.001) norming constant beyond the float range"),
     (["verify", "thm31", "--marginal", "frechet:0.001"],
@@ -453,6 +476,12 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "Y(t) lies beyond the float range"),
     (["sample", "extremal-marginal", "--t", "1e-320", "--n", "3"], "Y(t) lies beyond the float range"),
     (["verify", "thm34", "--m", "1"], "m = 1 draws cannot fail the KS check"),
+    (["verify", "thm34", "--triple", "pareto:1e300", "--m", "200"],
+     "tail gap n S - V at n = 10000 beyond the float range"),
+    (["extremal", "path", "--floor", "1e-320"], "floor must lie inside the support"),
+    (["verify", "thm31", "--marginal", "frechet:1e300"], "grid must lie inside the support"),
+    (["verify", "thm31", "--marginal", "reverse-weibull:1e300"], "grid must lie inside the support"),
+    (["table", "doa", "--triple", "exponential", "--ns", "1" + "0" * 400], "n beyond the float range"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -20,6 +20,8 @@ from randmax import (
     doa_gap,
     ks_critical,
     ks_distance,
+    run_definetti,
+    run_thm24,
     sample_base,
     standard_points,
     standard_triple,
@@ -180,10 +182,40 @@ def test_doa_gap_pareto_hand_value():
 
 
 def test_doa_gap_far_tail_in_survival_space():
-    # n(1 - G) cancels once 1 - G nears the float spacing at 1; the survival keeps its digits
-    for n in (10**12, 10**16):
-        tail_gap, cdf_gap = doa_gap(standard_triple("pareto", 1.0), n)
-        assert tail_gap < 1e-12 and cdf_gap < 1e-12, n
+    # n(1 - G(a_n x + b_n)) cancels once 1 - G nears the float spacing at 1; the normed survival
+    # keeps its digits, in the classical, de Finetti and paired random-maximum gaps alike
+    for name in ("pareto", "exponential", "uniform"):
+        base = standard_triple(name)
+        for n in (10**12, 10**16):
+            tail_gap, cdf_gap = doa_gap(base, n)
+            assert tail_gap < 1e-12 and cdf_gap < 1e-12, (name, n)
+            assert run_definetti(Geometric(), base, ns=(n,)).stats["final_gap"] < 1e-12, (name, n)
+            ((_, det_gap, ran_gap),) = run_thm24(Geometric(), base, ns=(n,)).tables[0].rows
+            assert det_gap < 1e-12 and ran_gap < 1e-12, (name, n)
+
+
+NORMED = [
+    # base, its norming (a_n, b_n), and its raw survival 1 - G(z)
+    (Pareto(1.0), lambda n: (n, 0.0), lambda z: np.minimum(z ** -1.0, 1.0)),
+    (Pareto(2.5), lambda n: (n ** 0.4, 0.0), lambda z: np.minimum(z ** -2.5, 1.0)),
+    (UnitExponential(), lambda n: (1.0, math.log(n)), lambda z: np.exp(-z)),
+    (StdUniform(), lambda n: (1.0 / n, 1.0), lambda z: 1.0 - z),
+]
+
+
+@pytest.mark.parametrize("n", [10, 10_000])
+@pytest.mark.parametrize("base, norming, raw_sf", NORMED, ids=[case[0].name for case in NORMED])
+def test_normed_law_matches_the_raw_normed_form(base, norming, raw_sf, n):
+    # oracle: (X - b_n)/a_n through raw points, at survival levels where 1 - G does not cancel
+    # and n S stays away from 1, where -log(S) - log(n) would
+    a, b = norming(n)
+    levels = np.array([0.9, 0.5, 0.2, 0.02, 0.002])
+    x = (base.isf(levels) - b) / a
+    law = base.normed(n)
+    np.testing.assert_allclose(law.isf(levels), x, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(law.sf(x), raw_sf(a * x + b), rtol=1e-12, atol=0.0)
+    assert law.sf(-1e6) == 1.0  # below the support, or an overflowing form, with no warning
+    assert math.isnan(law.sf(math.nan))
 
 
 def test_doa_gap_exponential_grid():

@@ -161,7 +161,7 @@ def test_run_definetti_degenerate_pareto():
 def test_definetti_degenerate_is_poisson_maximum():
     # with phi = exp(-s) the tabulated quantity is the Poisson-maximum d.f.
     n = 100
-    a, b = PARETO1.norming(n)
+    a, b = n, 0.0
     x = np.asarray(PARETO1.target.grid)
     g = PARETO1.cdf(a * x + b)
     via_family = DEGENERATE.lt(n * (1.0 - g))
