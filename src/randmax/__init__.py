@@ -23,14 +23,12 @@ from .evd_core import (
     univariate,
 )
 from .extremal_proc import (
-    ExtremalPath,
     PathColumns,
     default_floor,
     marginal_cdf,
     sample_Y_at_time,
     simulate_path,
     simulate_path_columns,
-    simulate_paths,
 )
 from .lt_families import (
     CountScheme,

@@ -211,8 +211,7 @@ def _extremal_paths(args, seed):
     paths = simulate_path_columns(
         law, args.horizon, args.paths, seed, floor=args.floor, threads=args.threads
     )
-    path_id = np.repeat(np.arange(args.paths), paths.counts)
-    return Table("path", ("path_id", "time", "state"), (path_id, paths.times, paths.states))
+    return Table("path", ("path_id", "time", "state"), (paths.path_ids(), paths.times, paths.states))
 
 
 class Flag(NamedTuple):

@@ -290,6 +290,20 @@ def standard_points(law):
     raise ConfigurationError("standard grids are provided for dimensions 1 and 2 only")
 
 
+def grid_exponent(law, what, grid=None):
+    """V of ``law`` on ``grid`` (``standard_points(law)`` when None), checked before any use.
+
+    Where V is infinite, outside the support or beyond the float range, it raises
+    ``DomainError`` and names the grid by ``what``.
+    """
+    pts = standard_points(law) if grid is None else np.asarray(grid, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite V is refused below
+        v = np.atleast_1d(law.v(pts))
+    if np.any(np.isinf(v)):
+        raise DomainError(f"{what} grid must lie inside the support of the base law")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Base laws, normed base laws and Poisson maxima
 # ---------------------------------------------------------------------------

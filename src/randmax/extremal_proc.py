@@ -18,7 +18,6 @@ seeded Kolmogorov-Smirnov comparison.  Y(Z) is always sampled exactly via
 the conditional law given Z, never through path simulation.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,28 +37,6 @@ _Y_RANGE = (
 )
 
 
-@dataclass
-class ExtremalPath:
-    """One resolved trajectory: jump times and strictly increasing states."""
-
-    times: np.ndarray
-    states: np.ndarray
-    horizon: float
-    floor: float
-
-    @property
-    def n_jumps(self):
-        return len(self.times)
-
-    def count_above(self, level):
-        """Number of resolved jump states above ``level``."""
-        return int(np.count_nonzero(self.states > level))
-
-    def final_state(self):
-        """State at the horizon; the floor marks an unresolved (no-jump) path."""
-        return float(self.states[-1]) if self.n_jumps else self.floor
-
-
 class PathColumns(NamedTuple):
     """Paths stored column-wise: path i owns the next ``counts[i]`` entries of
     the flat ``times`` and ``states``, in jump order."""
@@ -70,13 +47,16 @@ class PathColumns(NamedTuple):
     horizon: float
     floor: float
 
-    def paths(self):
-        """One ``ExtremalPath`` per path, viewing the flat columns."""
-        cuts = np.cumsum(self.counts)[:-1]
-        return [
-            ExtremalPath(times, states, self.horizon, self.floor)
-            for times, states in zip(np.split(self.times, cuts), np.split(self.states, cuts))
-        ]
+    def path_ids(self):
+        """The path of each entry of ``times`` and ``states``."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def final_states(self):
+        """State of each path at the horizon; the floor marks an unresolved (no-jump) path."""
+        finals = np.full(len(self.counts), self.floor)
+        jumped = self.counts > 0
+        finals[jumped] = self.states[np.cumsum(self.counts)[jumped] - 1]
+        return finals
 
 
 def default_floor(marginal, horizon, mass=1e-3):
@@ -180,11 +160,11 @@ def simulate_path(law, horizon, rng, floor=None):
 
     Any marginal type: the chain runs in V-space from V0 = V(floor), with
     V_{k+1} = V_k U_k and t_{k+1} = t_k + E_k / V_k, and each level is
-    mapped back to a state through ``vinv``.
+    mapped back to a state through ``vinv``.  The one path comes as ``PathColumns``.
     """
     m, y0, v0 = _path_marginal(law, horizon, floor)
-    _, times, states = _jump_chain(m, v0, horizon, [as_generator(rng)], [1])
-    return ExtremalPath(times=times, states=states, horizon=float(horizon), floor=y0)
+    counts, times, states = _jump_chain(m, v0, horizon, [as_generator(rng)], [1])
+    return PathColumns(counts, times, states, float(horizon), y0)
 
 
 def simulate_path_columns(law, horizon, n_paths, seed, floor=None, threads=1):
@@ -195,11 +175,6 @@ def simulate_path_columns(law, horizon, n_paths, seed, floor=None, threads=1):
     )
     counts, times, states = (np.concatenate(c) for c in zip(*groups))
     return PathColumns(counts, times, states, float(horizon), y0)
-
-
-def simulate_paths(law, horizon, n_paths, seed, floor=None, threads=1):
-    """Independent paths from counter-split substreams, in a fixed order."""
-    return simulate_path_columns(law, horizon, n_paths, seed, floor, threads).paths()
 
 
 def sample_Y_at_time(law, t, rng, size=None):

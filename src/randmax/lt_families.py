@@ -2,16 +2,21 @@
 
 Each family packages a Laplace transform phi that solves the Poincare
 equation phi(s) = P(phi(theta*s)) together with everything the transform
-induces: the inverse phi^{-1}, the probability generating function
-P_theta(s) = phi(phi^{-1}(s)/theta), the positive integer count N_theta
-with that p.g.f., and the mixing variable U whose Laplace transform is
-phi (the weak limit of theta*N_theta as theta drops to 0).
+induces: its survival form 1 - phi and the inverse phi^{-1}(1 - s) of
+that, the probability generating function in survival space
+P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta), the positive integer count
+N_theta with that p.g.f., and the mixing variable U whose Laplace
+transform is phi (the weak limit of theta*N_theta as theta drops to 0).
+The survival forms keep their digits where phi(theta*s) rounds to 1, so
+the identities stay exact as theta drops to the smallest normal float,
+below which theta is refused.  A mixer or stable draw outside the floats
+raises ``DomainError``.
 
 Three closed-form families are provided:
 
-* ``Geometric``        phi(s) = 1/(1+s),      U is a unit-mean exponential
-* ``MittagLeffler``    phi(s) = 1/(1+s^nu),   U = E^{1/nu} * S_nu
-* ``Degenerate``       phi(s) = exp(-s),      U = 1, N_theta = 1/theta
+* ``Geometric``      phi(s) = 1/(1+s),     1 - phi = s/(1+s),        U a unit-mean exponential
+* ``MittagLeffler``  phi(s) = 1/(1+s^nu),  1 - phi = s^nu/(1+s^nu),  U = E^{1/nu} * S_nu
+* ``Degenerate``     phi(s) = exp(-s),     1 - phi = -expm1(-s),     U = 1, N_theta = 1/theta
 
 No numerical Poincare solving is attempted; the identity is verified for
 the shipped closed forms by the test suite.
@@ -25,6 +30,8 @@ from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
 from .streams import as_generator, open_uniform
 
+_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
+
 
 class LaplaceFamily:
     """Base class: a Poincare-standard Laplace transform and its count scheme."""
@@ -37,8 +44,8 @@ class LaplaceFamily:
         """phi(s) for s in [0, +inf]; +inf maps to 0."""
         raise NotImplementedError
 
-    def lt_inv(self, u):
-        """phi^{-1}(u) for u in (0, 1]; u = 0 maps to +inf."""
+    def lt_sf(self, s):
+        """1 - phi(s) for s in [0, +inf], exact where phi(s) rounds to 1; +inf maps to 1."""
         raise NotImplementedError
 
     def lt_inv_sf(self, s):
@@ -48,28 +55,34 @@ class LaplaceFamily:
     # -- count scheme ---------------------------------------------------
 
     def validate_theta(self, theta):
-        raise NotImplementedError
+        """Refuse a theta below the smallest normal float, where theta * s loses its digits.
 
-    def pgf(self, theta, s):
-        """P_theta(s) = phi(phi^{-1}(s)/theta) on [0, 1], with exact endpoints."""
-        return self._pgf(theta, s, self.lt_inv, 0.0)
+        Each family adds its own range check after this one.
+        """
+        if 0.0 < theta < _TINY:
+            raise ConfigurationError(
+                f"theta must be at least the smallest normal float {_TINY:.6g}, got {theta}"
+            )
+
+    def pgf(self, theta, u):
+        """P_theta(u) = phi(phi^{-1}(u)/theta) on [0, 1], as ``pgf_sf(theta, 1 - u)``."""
+        return self.pgf_sf(theta, np.subtract(1.0, u))
 
     def pgf_sf(self, theta, s):
-        """P_theta(1 - s) for a survival s in [0, 1]; exact where 1 - s rounds to 1."""
-        return self._pgf(theta, s, self.lt_inv_sf, 1.0)
+        """P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta) for a survival s in [0, 1].
 
-    def _pgf(self, theta, s, inverse, at_zero):
-        """phi(inverse(s)/theta) on [0, 1]; s = 0 gives ``at_zero`` and s = 1 the other end."""
+        Exact where 1 - s rounds to 1; s = 0 gives 1 and s = 1 gives 0.
+        """
         self.validate_theta(theta)
 
         def eval_pgf(arr):
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise DomainError("p.g.f. argument must lie in [0, 1]")
             out = np.full_like(arr, np.nan)  # NaN stays NaN
-            out[arr == 0.0] = at_zero
-            out[arr == 1.0] = 1.0 - at_zero
+            out[arr == 0.0] = 1.0
+            out[arr == 1.0] = 0.0
             inner = (arr > 0.0) & (arr < 1.0)
-            out[inner] = self.lt(inverse(arr[inner]) / theta)
+            out[inner] = self.lt(self.lt_inv_sf(arr[inner]) / theta)
             return out
 
         return _apply(s, eval_pgf)
@@ -123,26 +136,27 @@ class Geometric(LaplaceFamily):
 
     def lt(self, s):
         def f(arr):
-            if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-                raise DomainError("Laplace transform argument must be >= 0")
             with np.errstate(invalid="ignore"):
                 out = 1.0 / (1.0 + arr)
             out[np.isposinf(arr)] = 0.0
             return out
 
-        return _apply(s, f)
+        return _transform(s, f)
 
-    def lt_inv(self, u):
+    def lt_sf(self, s):
         def f(arr):
-            _check_unit_interval(arr)
-            return (1.0 - arr) / arr
+            with np.errstate(invalid="ignore"):
+                out = arr / (1.0 + arr)
+            out[np.isposinf(arr)] = 1.0
+            return out
 
-        return _apply(u, f)
+        return _transform(s, f)
 
     def lt_inv_sf(self, s):
         return _apply(s, lambda arr: arr / (1.0 - arr))
 
     def validate_theta(self, theta):
+        super().validate_theta(theta)
         if not 0.0 < theta < 1.0:
             raise ConfigurationError(
                 f"geometric family requires theta in (0, 1), got {theta}"
@@ -182,26 +196,27 @@ class MittagLeffler(LaplaceFamily):
 
     def lt(self, s):
         def f(arr):
-            if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-                raise DomainError("Laplace transform argument must be >= 0")
             with np.errstate(invalid="ignore"):
                 out = 1.0 / (1.0 + arr**self.nu)
             out[np.isposinf(arr)] = 0.0
             return out
 
-        return _apply(s, f)
+        return _transform(s, f)
 
-    def lt_inv(self, u):
+    def lt_sf(self, s):
         def f(arr):
-            _check_unit_interval(arr)
-            return ((1.0 - arr) / arr) ** (1.0 / self.nu)
+            with np.errstate(invalid="ignore"):
+                out = arr**self.nu / (1.0 + arr**self.nu)
+            out[np.isposinf(arr)] = 1.0
+            return out
 
-        return _apply(u, f)
+        return _transform(s, f)
 
     def lt_inv_sf(self, s):
         return _apply(s, lambda arr: (arr / (1.0 - arr)) ** (1.0 / self.nu))
 
     def validate_theta(self, theta):
+        super().validate_theta(theta)
         if not 0.0 < theta < 1.0:
             raise ConfigurationError(
                 f"Mittag-Leffler family requires theta in (0, 1), got {theta}"
@@ -220,15 +235,18 @@ class MittagLeffler(LaplaceFamily):
         return n ** (-1.0 / self.nu)
 
     def limit_exponent(self, v):
-        # phi(V^(1/nu)) = 1/(1 + V): the geometric limit
-        return v ** (1.0 / self.nu)
+        # phi(V^(1/nu)) = 1/(1 + V): the geometric limit; an overflow to inf gives phi = 0
+        with np.errstate(over="ignore"):
+            return v ** (1.0 / self.nu)
 
     def sample_mixer(self, rng, size=None):
         # U = E^{1/nu} * S_nu mixes a unit exponential with a positive
         # nu-stable factor; its Laplace transform is 1/(1+s^nu).
         rng = as_generator(rng)
         e = rng.exponential(size=size)
-        return e ** (1.0 / self.nu) * sample_positive_stable(self.nu, rng, size)
+        stable = sample_positive_stable(self.nu, rng, size)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            return _in_floats(np.power(e, 1.0 / self.nu) * stable, "Mittag-Leffler mixer draw")
 
     def __repr__(self):
         return f"MittagLeffler(nu={self.nu!r})"
@@ -240,25 +258,16 @@ class Degenerate(LaplaceFamily):
     name = "degenerate"
 
     def lt(self, s):
-        def f(arr):
-            if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-                raise DomainError("Laplace transform argument must be >= 0")
-            return np.exp(-arr)
+        return _transform(s, lambda arr: np.exp(-arr))
 
-        return _apply(s, f)
-
-    def lt_inv(self, u):
-        def f(arr):
-            _check_unit_interval(arr)
-            with np.errstate(divide="ignore"):
-                return -np.log(arr)
-
-        return _apply(u, f)
+    def lt_sf(self, s):
+        return _transform(s, lambda arr: -np.expm1(-arr))
 
     def lt_inv_sf(self, s):
         return _apply(s, lambda arr: -np.log1p(-arr))
 
     def validate_theta(self, theta):
+        super().validate_theta(theta)
         if not 0.0 < theta <= 1.0:
             raise ConfigurationError(
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
@@ -278,6 +287,8 @@ class Degenerate(LaplaceFamily):
 
     def sample_count(self, theta, rng, size=None):
         n = self.count_value(theta)
+        if n >= 2**63:
+            raise DomainError(f"degenerate count 1/theta = {n:.6g} exceeds the int64 range")
         if size is None:
             return n
         return np.full(size, n, dtype=np.int64)
@@ -291,15 +302,23 @@ class Degenerate(LaplaceFamily):
         return _apply(x, lambda arr: (arr >= 1.0).astype(float))
 
 
-def _check_unit_interval(arr):
-    if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
-        raise DomainError("inverse Laplace transform argument must lie in (0, 1]")
+def _transform(s, func):
+    """``func`` at s in [0, +inf], scalar in, scalar out; a negative or NaN s is refused."""
+
+    def checked(arr):
+        if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+            raise DomainError("Laplace transform argument must be >= 0")
+        return func(arr)
+
+    return _apply(s, checked)
 
 
 def _geometric_counts(p, rng, size):
     """Inversion sampling of the geometric law on {1, 2, ...} with success p."""
     u = rng.random(size)
-    with np.errstate(over="ignore"):  # an overflow to inf fails the int64 check below
+    # an overflow to inf fails the int64 check below; p rounding to 1 gives log1p(-p) = -inf
+    # and the right count 1
+    with np.errstate(over="ignore", divide="ignore"):
         k = np.ceil(np.log1p(-u) / np.log1p(-p))
     k = np.maximum(k, 1.0)
     if np.any(k >= 2.0**63):
@@ -326,7 +345,18 @@ def sample_positive_stable(nu, rng, size=None):
     a = (
         np.sin(nu * w) ** nu * np.sin((1.0 - nu) * w) ** (1.0 - nu) / np.sin(w)
     ) ** (1.0 / (1.0 - nu))
-    return (a / e) ** ((1.0 - nu) / nu)
+    with np.errstate(over="ignore"):  # refused below
+        return _in_floats((a / e) ** ((1.0 - nu) / nu), f"positive {nu:g}-stable draw")
+
+
+def _in_floats(draws, what):
+    """``draws``; ``DomainError`` where one lies outside [tiny, max] (NaN fails too)."""
+    arr = np.asarray(draws)
+    if not (arr.min(initial=_MAX) >= _TINY and arr.max(initial=_TINY) <= _MAX):
+        raise DomainError(
+            f"{what} lies beyond the float range (outside [{_TINY:.6g}, {_MAX:.6g}])"
+        )
+    return draws
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import BLOCK_VALUES
-from .errors import ConfigurationError, DomainError
-from .evd_core import MaxStableLaw, PoissonMax, standard_points
+from .errors import ConfigurationError
+from .evd_core import MaxStableLaw, PoissonMax, grid_exponent
 from .lt_families import Degenerate
 from .streams import as_generator, chunked_draws
 
@@ -134,12 +134,8 @@ def same_type_decompose(law, theta, grid=None):
     law.family.validate_theta(theta)
     if not isinstance(law.base, MaxStableLaw):
         raise ConfigurationError("the same-type decomposition needs a max-stable base")
-    pts = standard_points(law.base) if grid is None else np.asarray(grid, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite V is refused below
-        v = np.atleast_1d(law.base.v(pts))
-    if np.any(np.isinf(v)):
-        raise DomainError("decomposition grid must lie inside the support of the base law")
-    f_full = law.family.lt(v)
-    f_theta = law.family.lt(theta * v)
-    residual = float(np.abs(f_full - law.family.pgf(theta, f_theta)).max())
+    v = grid_exponent(law.base, "decomposition", grid)
+    # P_theta(F_theta) in survival space, where 1 - F_theta = 1 - phi(theta V) keeps its digits
+    f_theta_sf = law.family.lt_sf(theta * v)
+    residual = float(np.abs(law.family.lt(v) - law.family.pgf_sf(theta, f_theta_sf)).max())
     return residual, tuple(m.norming(theta) for m in law.base.marginals)

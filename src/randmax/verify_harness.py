@@ -17,7 +17,7 @@ import numpy as np
 from ._csvtext import csv_rows, format_value
 from ._util import BLOCK_VALUES
 from .errors import ConfigurationError, DomainError
-from .evd_core import MaxStableLaw, cdf_gap, doa_gap, normed_base, tail_gap
+from .evd_core import MaxStableLaw, cdf_gap, doa_gap, grid_exponent, normed_base, tail_gap
 from .extremal_proc import sample_Y_at_time
 from .lt_families import CountScheme, MittagLeffler
 from .nmid_compose import NMaxStableLaw, same_type_decompose, sample_random_max_seeded
@@ -224,7 +224,7 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDE
     worst = 0.0
     for theta in thetas:
         for s in s_grid:
-            residual = abs(family.pgf(theta, family.lt(theta * s)) - family.lt(s))
+            residual = abs(family.pgf_sf(theta, family.lt_sf(theta * s)) - family.lt(s))
             worst = max(worst, residual)
             rows.append((theta, s, residual))
     table = Table.from_rows(name="residuals", columns=("theta", "s", "residual"), rows=rows)
@@ -387,10 +387,12 @@ def run_thm32(family, law, n, seed, threads=1):
     d = 1 compares the full empirical d.f.; d = 2 compares each coordinate
     against its count-mixed marginal phi(V_i(x)).  Passes when every
     Kolmogorov-Smirnov distance is below 1.628/sqrt(n) (the 1 percent
-    critical value).  The logistic model has no sampler and is rejected.
+    critical value).  The logistic model has no sampler and is rejected, and so
+    is a law whose V is infinite on its own grid, as in ``same_type_decompose``.
     """
     if not isinstance(law, MaxStableLaw):
         raise ConfigurationError("subordination requires a max-stable base")
+    grid_exponent(law, "subordination")
 
     def draw(rng, m):
         z = np.atleast_1d(family.sample_mixer(rng, m))

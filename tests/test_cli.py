@@ -2,6 +2,7 @@ import argparse
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -466,8 +467,8 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "reverse-Weibull(0.001) norming constant beyond the float range"),
     (["verify", "thm31", "--marginal", "frechet:0.001"],
      "Frechet(0.001) norming constant beyond the float range (below"),
-    (["sample", "count", "--theta", "1e-320"], "exceeds the int64 range"),
-    (["sample", "randmax", "--theta", "1e-320"], "exceeds the int64 range"),
+    (["sample", "count", "--theta", "1e-320"], "smallest normal float"),
+    (["sample", "randmax", "--theta", "1e-320"], "smallest normal float"),
     (["verify", "lemma12", "--threshold", "nan"], "threshold must be finite and in (0, 1), got nan"),
     (["verify", "lemma12", "--threshold", "inf"], "threshold must be finite and in (0, 1), got inf"),
     (["verify", "lemma12", "--threshold", "-1"], "threshold must be finite and in (0, 1), got -1.0"),
@@ -482,6 +483,22 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
     (["verify", "thm31", "--marginal", "frechet:1e300"], "grid must lie inside the support"),
     (["verify", "thm31", "--marginal", "reverse-weibull:1e300"], "grid must lie inside the support"),
     (["table", "doa", "--triple", "exponential", "--ns", "1" + "0" * 400], "n beyond the float range"),
+    (["verify", "poincare", "--family", "degenerate", "--thetas", "1e-320"], "smallest normal float"),
+    (["verify", "thm31", "--family", "degenerate", "--thetas", "1e-320"], "smallest normal float"),
+    (["sample", "count", "--family", "degenerate", "--theta", "1e-320"], "smallest normal float"),
+    (["sample", "randmax", "--family", "degenerate", "--theta", "1e-320"], "smallest normal float"),
+    (["verify", "lemma12", "--family", "degenerate", "--theta", "1e-320"], "smallest normal float"),
+    (["sample", "count", "--family", "degenerate", "--theta", "1e-300"], "exceeds the int64 range"),
+    (["sample", "randmax", "--family", "degenerate", "--theta", "1e-300"], "exceeds the int64 range"),
+    (["verify", "lemma12", "--family", "degenerate", "--theta", "1e-300"], "exceeds the int64 range"),
+    (["sample", "mixer", "--family", "mittag-leffler", "--nu", "1e-16", "--n", "5"],
+     "lies beyond the float range"),
+    (["verify", "thm32", "--family", "mittag-leffler", "--nu", "0.01", "--n", "2000"],
+     "lies beyond the float range"),
+    (["verify", "thm32", "--marginal", "frechet:1e300", "--n", "200"], "grid must lie inside the support"),
+    (["verify", "thm32", "--marginal", "reverse-weibull:1e300", "--n", "200"],
+     "grid must lie inside the support"),
+    (["verify", "thm32", "--marginal", "frechet:600"], "grid must lie inside the support"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)
@@ -489,3 +506,74 @@ def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+SWEEP_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e-300", "1e-16", "0.999999", "1", "2",
+                "1e300")
+SWEEP_INTS = ("0", "-1", "1", "2", "3")
+BASES = ("pareto:1", "pareto:600", "pareto:1e300", "pareto:0.002", "exponential", "uniform",
+         "pareto:-1", "pareto:nan", "cauchy")
+SWEEP_STRINGS = {
+    "--marginal": ("frechet:1", "gumbel", "reverse-weibull:2", "frechet:600", "frechet:1e300",
+                   "frechet:0.001", "reverse-weibull:1e300", "frechet:-1", "frechet:nan", "cauchy"),
+    "--dependence": ("none", "independence", "complete", "logistic", "x"),
+    "--triple": BASES,
+    "--base": BASES,
+    "--ns": ("10", "1,10,100", "0", "-1", ",", "x", "1" + "0" * 400),
+    "--thetas": ("0.5", "1e-20", "1e-300", "1e-320", "0", "1", "nan", "inf", "x", ","),
+    "--s-grid": ("0", "1e-300", "1e300", "inf", "nan", "-1", "x", ","),
+}
+SWEEP_FAMILIES = (("--family", "geometric"), ("--family", "mittag-leffler", "--nu", "0.5"),
+                  ("--family", "degenerate"))
+SWEEP_BASE = {"--n": "200", "--m": "200", "--paths": "3", "--theta": "0.5"}
+ECHOED_COLUMNS = {("poincare_residuals.csv", "s")}  # a cell copied from the input
+
+
+def sweep_cases():
+    """Each experiment at its capped defaults, then with one flag at one adversarial value."""
+    for (verb, name), experiment in EXPERIMENTS.items():
+        names = {flag.name for flag in experiment.flags}
+        families = SWEEP_FAMILIES if "--family" in names else ((),)
+        base = [verb, name, "--threads", "1", "--seed", "1"]
+        base += [tok for key, value in SWEEP_BASE.items() if key in names for tok in (key, value)]
+        for family in families:
+            yield base + list(family)
+            for flag in experiment.flags:
+                if flag.name == "--family" or (flag.name == "--nu" and "--nu" not in family):
+                    continue
+                if flag.type is float:
+                    values = SWEEP_FLOATS
+                elif flag.type is int:
+                    values = SWEEP_INTS
+                else:
+                    assert flag.name in SWEEP_STRINGS, f"no sweep values for {flag.name}"
+                    values = SWEEP_STRINGS[flag.name]
+                for value in values:
+                    yield base + list(family) + [f"{flag.name}={value}"]
+
+
+def test_adversarial_flag_sweep(tmp_path, capsys):
+    problems = []
+    for index, argv in enumerate(sweep_cases()):
+        out = tmp_path / str(index)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv + ["--out", str(out)])
+            except Exception as exc:
+                problems.append((argv, f"raised {exc!r}"))
+                continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2):
+            problems.append((argv, f"exit {code}"))
+        if caught:
+            problems.append((argv, f"warned {caught[0].message}"))
+        if code == 2 and sum("error:" in line for line in err.splitlines()) != 1:
+            problems.append((argv, f"exit 2 with stderr {err!r}"))
+        for path in sorted(out.glob("*.csv")) if code == 0 else ():
+            header, *rows = path.read_text().splitlines()
+            for column, cells in zip(header.split(","), zip(*(row.split(",") for row in rows))):
+                bad = {cell for cell in cells if "nan" in cell or "inf" in cell}
+                if bad and (path.name, column) not in ECHOED_COLUMNS:
+                    problems.append((argv, f"{path.name} column {column} holds {sorted(bad)}"))
+    assert not problems, "\n".join(f"{' '.join(argv)}: {what}" for argv, what in problems)

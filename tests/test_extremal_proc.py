@@ -23,7 +23,6 @@ from randmax import (
     sample_Y_at_time,
     simulate_path,
     simulate_path_columns,
-    simulate_paths,
     substream,
     univariate,
 )
@@ -78,7 +77,7 @@ def test_path_monotone_and_in_horizon():
         path = simulate_path(FRECHET1, 1.0, substream(40, idx), floor=0.01)
         assert np.all(np.diff(path.states) > 0.0)
         assert np.all(np.diff(path.times) > 0.0)
-        if path.n_jumps:
+        if path.counts[0]:
             assert 0.0 < path.times[0] and path.times[-1] <= 1.0
             assert path.states[0] > 0.01
 
@@ -97,15 +96,13 @@ def test_path_rejects_unsupported():
 
 
 def test_path_terminal_probability_horizon_ten():
-    paths = simulate_paths(FRECHET1, 10.0, 10_000, seed=42, floor=0.01)
-    finals = np.asarray([p.final_state() for p in paths])
+    finals = simulate_path_columns(FRECHET1, 10.0, 10_000, seed=42, floor=0.01).final_states()
     assert abs((finals <= 10.0).mean() - math.exp(-1.0)) < 0.015
 
 
 def test_path_terminal_marginal_ks():
     horizon = 1.0
-    paths = simulate_paths(FRECHET1, horizon, 10_000, seed=43)
-    finals = np.sort([p.final_state() for p in paths])
+    finals = np.sort(simulate_path_columns(FRECHET1, horizon, 10_000, seed=43).final_states())
     distance = ks_distance(finals, lambda x: marginal_cdf(FRECHET1, horizon, x))
     assert distance < ks_critical(10_000)
 
@@ -113,8 +110,8 @@ def test_path_terminal_marginal_ks():
 def test_path_jump_count_matches_record_law():
     # the states above a level are records of the arrivals above it; their
     # mean count is integral_0^T (1 - exp(-t V(level)))/t dt, not T*V(level)
-    paths = simulate_paths(FRECHET1, 1.0, 10_000, seed=44)
-    counts = np.asarray([p.count_above(1.0) for p in paths], dtype=float)
+    paths = simulate_path_columns(FRECHET1, 1.0, 10_000, seed=44)
+    counts = np.bincount(paths.path_ids()[paths.states > 1.0], minlength=10_000).astype(float)
     oracle = record_count_mean(1.0, 1.0)
     assert oracle == pytest.approx(0.7966, abs=1e-4)
     se = counts.std() / math.sqrt(counts.size)
@@ -125,25 +122,15 @@ def test_path_jump_count_matches_record_law():
 def test_other_marginal_paths(marginal):
     law = univariate(marginal)
     horizon = 2.0
-    paths = simulate_paths(law, horizon, 10_000, seed=47)
-    floor = paths[0].floor
-    for path in paths:
-        assert np.all(np.diff(path.states) > 0.0)
-        assert np.all(np.diff(path.times) > 0.0)
-        assert np.all(path.states > floor)
-        assert np.all((path.times > 0.0) & (path.times <= horizon))
-    finals = np.sort([p.final_state() for p in paths])
+    paths = simulate_path_columns(law, horizon, 10_000, seed=47)
+    same_path = np.diff(paths.path_ids()) == 0
+    assert np.all(np.diff(paths.states)[same_path] > 0.0)
+    assert np.all(np.diff(paths.times)[same_path] > 0.0)
+    assert np.all(paths.states > paths.floor)
+    assert np.all((paths.times > 0.0) & (paths.times <= horizon))
+    finals = np.sort(paths.final_states())
     distance = ks_distance(finals, lambda x: marginal_cdf(law, horizon, x))
     assert distance < ks_critical(10_000)
-
-
-def test_path_columns_match_path_views():
-    columns = simulate_path_columns(FRECHET1, 1.0, 250, seed=48)
-    paths = simulate_paths(FRECHET1, 1.0, 250, seed=48)
-    assert columns.counts.sum() == columns.times.size == columns.states.size
-    assert [p.n_jumps for p in paths] == columns.counts.tolist()
-    assert np.array_equal(np.concatenate([p.times for p in paths]), columns.times)
-    assert np.array_equal(np.concatenate([p.states for p in paths]), columns.states)
 
 
 @pytest.mark.filterwarnings("error")
@@ -151,23 +138,14 @@ def test_path_states_beyond_float_range_rejected():
     # at horizon 1e300 the last levels are near 1e-300: still normal floats
     for marginal in (Frechet(1.0), Gumbel()):
         path = simulate_path(univariate(marginal), 1e300, substream(49))
-        assert path.n_jumps > 0 and np.all(np.isfinite(path.states))
+        assert path.counts[0] > 0 and np.all(np.isfinite(path.states))
     # at 1e308 levels near 1e-308 turn subnormal and states 1/V overflow
     with pytest.raises(DomainError, match="float range"):
-        simulate_paths(FRECHET1, 1e308, 50, seed=49)
+        simulate_path_columns(FRECHET1, 1e308, 50, seed=49)
     # states V^(-100) exceed 1.8e308 once a level falls below about 8e-4,
     # which by time 1e4 nearly every path has done
     with pytest.raises(DomainError, match="float range"):
-        simulate_paths(univariate(Frechet(0.01)), 1e4, 50, seed=49, floor=1.0)
-
-
-def test_path_seed_determinism():
-    a = simulate_paths(FRECHET1, 1.0, 250, seed=45)
-    b = simulate_paths(FRECHET1, 1.0, 250, seed=45, threads=4)
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.times, pb.times)
-        assert np.array_equal(pa.states, pb.states)
+        simulate_path_columns(univariate(Frechet(0.01)), 1e4, 50, seed=49, floor=1.0)
 
 
 def reference_chain(marginal, v0, horizon, rng, n):
@@ -204,7 +182,7 @@ def test_lockstep_chain_matches_per_chunk_chain(marginal, low_floor, n_paths):
         for index, start in enumerate(range(0, n_paths, CHUNK_PATHS))
     ]
     expected = [np.concatenate(c) for c in zip(*parts)]
-    for threads in (1, 2, 3):
+    for threads in (1, 2, 3, 4):
         got = simulate_path_columns(law, horizon, n_paths, seed, floor=floor, threads=threads)
         for a, b in zip((got.counts, got.times, got.states), expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -35,9 +35,20 @@ def test_lt_closed_forms():
 
 
 def test_lt_inverse_closed_forms():
-    assert Geometric().lt_inv(1.0) == 0.0
-    assert Geometric().lt_inv(0.5) == pytest.approx(1.0, abs=1e-15)
-    assert Degenerate().lt_inv(math.exp(-2.0)) == pytest.approx(2.0, abs=1e-12)
+    # the survival 1 - phi(s) and its inverse phi^{-1}(1 - s), exact where phi(s) rounds to 1
+    assert Geometric().lt_sf(2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert MittagLeffler(0.5).lt_sf(4.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert Degenerate().lt_sf(1.0) == pytest.approx(-math.expm1(-1.0), abs=1e-15)
+    assert Geometric().lt_inv_sf(0.0) == 0.0
+    assert Geometric().lt_inv_sf(0.5) == pytest.approx(1.0, abs=1e-15)
+    assert Degenerate().lt_inv_sf(-math.expm1(-2.0)) == pytest.approx(2.0, abs=1e-12)
+    for family in FAMILIES:
+        assert family.lt_sf(0.0) == 0.0
+        assert family.lt_sf(np.inf) == 1.0
+    # where 1 - phi(s) rounds to 0 in direct form
+    assert Geometric().lt_sf(1e-300) == 1e-300
+    assert Degenerate().lt_sf(1e-300) == 1e-300
+    assert MittagLeffler(0.5).lt_sf(1e-300) == pytest.approx(1e-150, rel=1e-15)
 
 
 def test_lt_domain_errors():
@@ -47,9 +58,9 @@ def test_lt_domain_errors():
         with pytest.raises(DomainError):
             family.lt(math.nan)
         with pytest.raises(DomainError):
-            family.lt_inv(0.0)
+            family.lt_sf(-0.1)
         with pytest.raises(DomainError):
-            family.lt_inv(1.0 + 1e-12)
+            family.lt_sf(math.nan)
 
 
 def test_lt_monotone_and_limits():
@@ -62,10 +73,11 @@ def test_lt_monotone_and_limits():
 
 
 def test_round_trip_inverse():
-    s = np.linspace(0.0, 20.0, 201)
+    s = np.concatenate([np.geomspace(1e-300, 1.0, 301), np.linspace(1.0, 10.0, 91)])
     for family in FAMILIES:
-        u = family.lt(s)
-        assert np.abs(family.lt_inv(u) - s).max() < 1e-10
+        # lt_sf keeps the digits of 1 - phi(s) that 1 - lt(s) loses at small s
+        assert np.abs(family.lt_sf(s) - (1.0 - family.lt(s))).max() < 1e-15, family.name
+        assert np.abs(family.lt_inv_sf(family.lt_sf(s)) / s - 1.0).max() < 1e-10, family.name
 
 
 def test_complete_monotonicity_sign_alternation():
@@ -148,6 +160,18 @@ def test_theta_validation():
         CountScheme(Geometric(), 0.5).pgf(1.5)
 
 
+def test_theta_below_the_smallest_normal_float_is_refused():
+    # theta * s loses its digits below it, even in survival space
+    tiny = np.finfo(float).tiny
+    for family in FAMILIES:
+        family.validate_theta(tiny)
+        for theta in (tiny / 2, 1e-320):
+            with pytest.raises(ConfigurationError, match="smallest normal float"):
+                family.validate_theta(theta)
+    with pytest.raises(DomainError, match="exceeds the int64 range"):
+        Degenerate().sample_count(1e-300, substream(0), 3)
+
+
 def test_index_and_limit_exponent():
     # theta_n = index(n) gives E N = n; phi(limit_exponent(v)) is the geometric 1/(1 + v)
     v = np.array([0.0, 0.1, 1.0, 10.0, np.inf])
@@ -228,6 +252,18 @@ def test_positive_stable_transform():
             assert abs(np.exp(-s * draws).mean() - target) < 0.006, (nu, s)
     with pytest.raises(ConfigurationError):
         sample_positive_stable(1.2, substream(9), 10)
+
+
+def test_mixer_draws_beyond_the_float_range_are_refused():
+    # E^(1/nu) * S at nu = 1e-16 is inf * 0 or 0 * inf; S itself leaves the floats at nu = 0.01
+    with pytest.raises(DomainError, match="float range"):
+        MittagLeffler(1e-16).sample_mixer(substream(3), 5)
+    with pytest.raises(DomainError, match="float range"):
+        sample_positive_stable(0.01, substream(3), 20_000)
+    # theta^nu rounds to 1 at nu = 1e-300, where every count is 1
+    assert np.all(CountScheme(MittagLeffler(1e-300), 0.5).sample(substream(3), 5) == 1)
+    # the limit exponent V^(1/nu) overflows to inf, where phi is 0
+    assert MittagLeffler(0.5).lt(MittagLeffler(0.5).limit_exponent(np.array([1e300])))[0] == 0.0
 
 
 class ZeroUniforms(np.random.Generator):

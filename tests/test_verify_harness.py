@@ -136,6 +136,16 @@ def test_run_poincare_families():
         assert dict(report.stats)["max_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("family", [GEOMETRIC, MittagLeffler(0.5), DEGENERATE], ids=repr)
+def test_identities_stay_exact_as_theta_drops(family):
+    # phi(theta s) rounds to 1 here; the survival forms keep 1 - phi(theta s)
+    thetas = (1e-20, 1e-300, np.finfo(float).tiny)
+    for report in (run_poincare(family, thetas=thetas),
+                   run_thm31(family, univariate(Frechet(1.0)), thetas=thetas)):
+        assert report.passed, report.name
+        assert dict(report.stats)["max_residual"] < 1e-15, report.name
+
+
 def test_run_thm31_families():
     report = run_thm31(GEOMETRIC, univariate(Frechet(1.0)))
     assert report.passed
