@@ -4,10 +4,11 @@ One subcommand per verification experiment keeps the check-to-code map
 auditable.  The table ``EXPERIMENTS`` is the only place an experiment is
 described: the parser, the ``--help`` list and the dispatch are built
 from it.  Every run is deterministic given its flags and seed; Monte
-Carlo work is split over counter-based substreams so the output is
-byte-identical for any ``--threads`` value.  Results are written as CSV
-(one file per table, floats at 17 significant digits) plus a plain-text
-summary, and the exit code is 0 only if every pass flag is true.
+Carlo work is split over counter-based substreams that run in order on
+one thread; ``--threads`` is accepted for compatibility and changes
+nothing.  Results are written as CSV (one file per table, floats at 17
+significant digits) plus a plain-text summary, and the exit code is 0
+only if every pass flag is true.
 """
 
 import argparse
@@ -203,14 +204,12 @@ def _sample_table(values, name):
 
 def _tabulate_draws(args, seed, name, draw):
     """``args.n`` draws of ``draw(rng, m)`` from seeded chunks, as the table ``name``."""
-    return _sample_table(chunked_draws(seed, args.n, draw, threads=args.threads), name)
+    return _sample_table(chunked_draws(seed, args.n, draw), name)
 
 
 def _extremal_paths(args, seed):
     law = MaxStableLaw((parse_marginal(args.marginal),))
-    paths = simulate_path_columns(
-        law, args.horizon, args.paths, seed, floor=args.floor, threads=args.threads
-    )
+    paths = simulate_path_columns(law, args.horizon, args.paths, seed, floor=args.floor)
     return Table("path", ("path_id", "time", "state"), (paths.path_ids(), paths.times, paths.states))
 
 
@@ -246,7 +245,7 @@ VERBS = {
 COMMON = (
     Flag("--seed", None, int, help=f"64-bit seed (default: ${DEFAULT_SEED_ENV} or 0)"),
     Flag("--out", ".", help="output directory (default: .)"),
-    Flag("--threads", 1, int, help="worker threads; output is identical for any value"),
+    Flag("--threads", 1, int, help="accepted and ignored: every run uses one thread"),
     Flag("--config", None, help="flat key=value file mirroring the long flags"),
 )
 FAMILY = (
@@ -272,9 +271,7 @@ EXPERIMENTS = {
         "scaled counts theta*N_theta converge to the mixer U (Lemma 1.2)",
         FAMILY + (Flag("--theta", 0.001, float), Flag("--n", 100_000, int),
                   Flag("--threshold", 0.01, float)),
-        lambda a, seed: run_lemma12(
-            make_family(a), a.theta, a.n, seed, threshold=a.threshold, threads=a.threads
-        ),
+        lambda a, seed: run_lemma12(make_family(a), a.theta, a.n, seed, threshold=a.threshold),
     ),
     ("verify", "definetti"): Experiment(
         "phi(n(1 - G(a_n x + b_n))) converges to phi(-log H) (Theorems 1.1/2.2)",
@@ -294,14 +291,12 @@ EXPERIMENTS = {
     ("verify", "thm32"): Experiment(
         "subordination F(x) = P(Y(Z) <= x) by exact sampling (Theorem 3.2 iv)",
         FAMILY + (MARGINAL, DEPENDENCE, Flag("--n", 100_000, int)),
-        lambda a, seed: run_thm32(make_family(a), make_law(a), a.n, seed, threads=a.threads),
+        lambda a, seed: run_thm32(make_family(a), make_law(a), a.n, seed),
     ),
     ("verify", "thm34"): Experiment(
         "random domain of max-attraction, analytic + sampled (Theorem 3.4)",
         FAMILY + (TRIPLE, Flag("--n", 10_000, int), Flag("--m", 20_000, int)),
-        lambda a, seed: run_thm34(
-            make_family(a), parse_base(a.triple), a.n, a.m, seed, threads=a.threads
-        ),
+        lambda a, seed: run_thm34(make_family(a), parse_base(a.triple), a.n, a.m, seed),
     ),
     ("sample", "randmax"): Experiment(
         "draws of the random maximum max of N_theta base draws",
@@ -309,8 +304,7 @@ EXPERIMENTS = {
                   Flag("--n", 10, int)),
         lambda a, seed: _sample_table(
             sample_random_max_seeded(
-                CountScheme(make_family(a), a.theta), parse_base(a.base), seed, a.n,
-                threads=a.threads,
+                CountScheme(make_family(a), a.theta), parse_base(a.base), seed, a.n
             ),
             "randmax",
         ),

@@ -416,8 +416,8 @@ def normed_base(base, n, grid=None):
     """``(S, V)`` on ``grid`` or the target's grid: S = 1 - G(a_n x + b_n) and V(x).
 
     S is the survival of ``base.normed(n)``, so it keeps its digits where G
-    rounds to 1; V is the exponent of the target H = exp(-V), inf where it
-    overflows.
+    rounds to 1; V is the exponent of the target H = exp(-V).  A V that is
+    not finite on the grid raises ``DomainError``.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -427,17 +427,16 @@ def normed_base(base, n, grid=None):
         raise ConfigurationError(f"unsupported base law: {base!r}")
     target = base.target
     pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    with np.errstate(over="ignore"):  # V = inf, where it overflows, gives no float tail gap
-        v = target.v(pts)
-    return np.atleast_1d(base.normed(n).sf(pts)), np.atleast_1d(v)
+    with np.errstate(over="ignore"):  # an infinite V is refused below
+        v = np.atleast_1d(target.v(pts))
+    if not np.all(np.isfinite(v)):
+        raise _beyond_float_range(f"V of the {base.name} limit law on its grid")
+    return np.atleast_1d(base.normed(n).sf(pts)), v
 
 
 def tail_gap(n, s, v):
-    """sup |n S - V| of a normed survival S; DomainError where V, and so the gap, is no float."""
-    gap = float(np.abs(n * s - v).max())
-    if not np.isfinite(gap):
-        raise _beyond_float_range(f"tail gap n S - V at n = {n}")
-    return gap
+    """sup |n S - V| of a normed survival S."""
+    return float(np.abs(n * s - v).max())
 
 
 def cdf_gap(n, s, v):

@@ -167,11 +167,11 @@ def simulate_path(law, horizon, rng, floor=None):
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
-def simulate_path_columns(law, horizon, n_paths, seed, floor=None, threads=1):
+def simulate_path_columns(law, horizon, n_paths, seed, floor=None):
     """``n_paths`` independent paths as ``PathColumns``, a run of substream chunks at a time."""
     m, y0, v0 = _path_marginal(law, horizon, floor)
     groups = chunked_list(
-        seed, n_paths, lambda rngs, sizes: _jump_chain(m, v0, horizon, rngs, sizes), threads=threads
+        seed, n_paths, lambda rngs, sizes: _jump_chain(m, v0, horizon, rngs, sizes)
     )
     counts, times, states = (np.concatenate(c) for c in zip(*groups))
     return PathColumns(counts, times, states, float(horizon), y0)

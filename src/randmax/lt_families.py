@@ -95,9 +95,10 @@ class LaplaceFamily:
         """The count index theta_n of a base with G^n(a_n x + b_n) -> exp(-V(x)).
 
         At theta_n the random maximum converges:
-        P_{theta_n}(G(a_n x + b_n)) -> phi(limit_exponent(V(x))).
+        P_{theta_n}(G(a_n x + b_n)) -> phi(limit_exponent(V(x))).  A theta_n
+        below the smallest normal float raises ``DomainError``.
         """
-        return 1.0 / n
+        return _in_floats(1.0 / n, f"count index 1/n at n = {n:g}")
 
     def limit_exponent(self, v):
         """The argument of phi in the limit of the random maximum at ``index(n)``."""
@@ -232,7 +233,9 @@ class MittagLeffler(LaplaceFamily):
 
     def index(self, n):
         # N_theta is geometric with success theta^nu, so n theta^nu = 1 balances 1 - G ~ V/n
-        return n ** (-1.0 / self.nu)
+        return _in_floats(
+            n ** (-1.0 / self.nu), f"count index n^(-1/nu) at n = {n:g}, nu = {self.nu:g}"
+        )
 
     def limit_exponent(self, v):
         # phi(V^(1/nu)) = 1/(1 + V): the geometric limit; an overflow to inf gives phi = 0

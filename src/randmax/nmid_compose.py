@@ -117,10 +117,8 @@ def sample_random_max(scheme, base, rng, size=None):
 
 
 def sample_random_max_seeded(scheme, base, seed, n, threads=1):
-    """Chunked, thread-count-independent version of ``sample_random_max``."""
-    return chunked_draws(
-        seed, n, lambda rng, m: sample_random_max(scheme, base, rng, m), threads=threads
-    )
+    """Seeded, chunked version of ``sample_random_max``; ``threads`` is accepted and ignored."""
+    return chunked_draws(seed, n, lambda rng, m: sample_random_max(scheme, base, rng, m))
 
 
 def same_type_decompose(law, theta, grid=None):

@@ -1,14 +1,12 @@
 """Seeded, splittable random streams.
 
 Every randomized operation in the package is driven by a 64-bit seed.
-Parallel Monte Carlo splits the seed into independent substreams with a
+Monte Carlo work splits the seed into independent substreams with a
 counter-based rule: chunk ``i`` of a run keyed by ``seed`` uses a Philox
 generator whose 256-bit counter starts at ``i * 2**128``.  Chunk sizes are
-fixed constants, so the produced numbers depend only on the seed, never on
-the number of worker threads.
+fixed constants, so the produced numbers depend only on the seed.  Every
+chunk runs on the calling thread, in order.
 """
-
-import os
 
 import numpy as np
 
@@ -67,56 +65,33 @@ def _spans(n, chunk, what):
     return [(index, start, min(chunk, n - start)) for index, start in enumerate(range(0, n, chunk))]
 
 
-def _map_chunks(one, spans, threads):
-    """``[one(span) for span in spans]``; ``one(spans[0])`` returns before any other call starts.
-
-    At most ``min(threads, len(spans), os.cpu_count())`` worker threads run.
-    """
-    workers = min(threads, len(spans), os.cpu_count() or 1)
-    if workers <= 1:
-        return [one(span) for span in spans]
-    from concurrent.futures import ThreadPoolExecutor  # imported here: it costs every CLI start
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        first = pool.submit(one, spans[0]).result()
-        return [first, *pool.map(one, spans[1:])]
-
-
-def chunked_draws(seed, n, draw, threads=1, chunk=CHUNK_DRAWS):
+def chunked_draws(seed, n, draw, chunk=CHUNK_DRAWS):
     """Assemble ``n`` draws from fixed-size substream chunks, in place.
 
     ``draw(rng, m)`` must return an array whose leading axis has length ``m``.
-    Chunk 0 is drawn first and sets the dtype and trailing shape of the
-    output, which is allocated once; every chunk writes its own slice, so
-    the memory held is the output plus one chunk per worker.  Each chunk
-    reads only its own substream, so the result is identical for every
-    thread count.
+    Chunk 0 sets the dtype and trailing shape of the output, which is
+    allocated once; every chunk writes its own slice, so the memory held is
+    the output plus one chunk.
     """
     out = None
-
-    def fill(span):
-        nonlocal out
-        index, start, m = span
+    for index, start, m in _spans(n, chunk, "sample size"):
         part = draw(substream(seed, index), m)
-        if out is None:  # chunk 0, which no other chunk runs beside
+        if out is None:
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype, order="F")
         out[start:start + m] = part
-
-    _map_chunks(fill, _spans(n, chunk, "sample size"), threads)
     return out
 
 
-def chunked_list(seed, n, build, threads=1, chunk=CHUNK_PATHS):
+def chunked_list(seed, n, build, chunk=CHUNK_PATHS):
     """``[build(rngs, sizes) for each run of GROUP_CHUNKS consecutive chunks]``, in order.
 
     The ``n`` items are cut into fixed-size chunks as in ``chunked_draws``;
     chunk ``j`` of a run holds ``sizes[j]`` items and reads ``rngs[j]``, its
-    own substream.  A worker takes a whole run, so the results are identical
-    for every thread count.
+    own substream.
     """
     spans = _spans(n, chunk, "count")
     runs = [spans[start:start + GROUP_CHUNKS] for start in range(0, len(spans), GROUP_CHUNKS)]
-    return _map_chunks(
-        lambda run: build([substream(seed, index) for index, _, _ in run], [m for _, _, m in run]),
-        runs, threads,
-    )
+    return [
+        build([substream(seed, index) for index, _, _ in run], [m for _, _, m in run])
+        for run in runs
+    ]

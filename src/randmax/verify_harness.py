@@ -238,7 +238,7 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDE
     )
 
 
-def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1):
+def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE):
     """Scaled-count convergence: theta*N_theta against the mixer law.
 
     Draws ``n`` counts, scales them by theta, and takes the sup distance
@@ -257,9 +257,7 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE, threads=1)
     family.validate_theta(theta)
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError(f"threshold must be finite and in (0, 1), got {threshold}")
-    scaled = chunked_draws(
-        seed, n, lambda rng, m: family.sample_count(theta, rng, m).astype(float), threads=threads
-    )
+    scaled = chunked_draws(seed, n, lambda rng, m: family.sample_count(theta, rng, m).astype(float))
     scaled *= theta
     scaled.sort()
     grid = np.linspace(0.0, 12.0, 4801)
@@ -380,7 +378,7 @@ def run_thm31(family, law, thetas=POINCARE_THETAS, grid=None, tol=IDENTITY_TOL):
     )
 
 
-def run_thm32(family, law, n, seed, threads=1):
+def run_thm32(family, law, n, seed):
     """Subordination check: Y at an independent mixer time reproduces phi(V).
 
     Draws Z from the mixer, then Y(Z) exactly, and compares with phi(V(x)).
@@ -398,7 +396,7 @@ def run_thm32(family, law, n, seed, threads=1):
         z = np.atleast_1d(family.sample_mixer(rng, m))
         return sample_Y_at_time(law, z, rng, size=m)
 
-    sample = chunked_draws(seed, n, draw, threads=threads)
+    sample = chunked_draws(seed, n, draw)
     sample.sort(axis=0)
     columns = [sample] if law.dim == 1 else [sample[:, i] for i in range(law.dim)]
     distances = []
@@ -431,7 +429,6 @@ def run_thm34(
     n,
     m,
     seed,
-    threads=1,
     tol=LIMIT_TOL,
     allowance=PRELIMIT_ALLOWANCE,
     grid=None,
@@ -453,7 +450,7 @@ def run_thm34(
     theta = family.index(n)
     random_gap = float(np.abs(family.pgf_sf(theta, s) - _random_limit(family, v)).max())
 
-    draws = sample_random_max_seeded(CountScheme(family, theta), base.normed(n), seed, m, threads)
+    draws = sample_random_max_seeded(CountScheme(family, theta), base.normed(n), seed, m)
     draws.sort()
     distance = ks_distance(draws, lambda x: _random_limit(family, base.target.v(x)))
     critical = float(ks_critical(m))

@@ -1,15 +1,13 @@
 import argparse
 import math
-import subprocess
-import sys
+import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import randmax.cli
-from randmax.cli import EXPERIMENTS, build_parser, emit_csv, main
+from randmax.cli import COMMON, EXPERIMENTS, build_parser, emit_csv, main
 from randmax.verify_harness import CSV_BLOCK_ROWS, Table, format_value
 
 
@@ -350,12 +348,14 @@ def test_a_run_builds_only_its_experiment_parser(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_importing_the_cli_loads_no_thread_pool():
-    # concurrent.futures, with logging and queue, is imported only when threads run
-    src = Path(randmax.cli.__file__).resolve().parents[1]
-    code = "import sys, randmax.cli; sys.exit('concurrent.futures' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, timeout=60)
-    assert done.returncode == 0
+def test_threads_flag_starts_no_thread(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    argv = ["verify", "thm32", "--n", "30000", "--threads", "4", "--seed", "1"]  # three chunks
+    assert run(argv, tmp_path)[0] == 0
+    capsys.readouterr()
 
 
 def test_help_lists_experiments(capsys):
@@ -443,6 +443,9 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+V600 = "V of the pareto(600) limit law on its grid beyond the float range"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
     (["sample", "extremal-marginal", "--marginal", "frechet:abc"], "expected a number"),
@@ -459,8 +462,9 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
      "horizon 1e-320 gives a default floor of 0.0 outside the support, "
      "where 0 < V(floor) < inf; give a floor with --floor"),
     (["extremal", "path", "--horizon", "1e-320", "--floor", "0"], "floor must lie inside"),
-    (["table", "doa", "--triple", "pareto:600"], "tail gap n S - V at n = 10 beyond the float range"),
-    (["table", "doa", "--triple", "pareto:1e300"], "tail gap n S - V at n = 10 beyond the float range"),
+    (["table", "doa", "--triple", "pareto:600"], V600),
+    (["table", "doa", "--triple", "pareto:1e300"],
+     "V of the pareto(1e+300) limit law on its grid beyond the float range"),
     (["verify", "thm34", "--triple", "pareto:0.002", "--m", "10"],
      "pareto(0.002) quantile beyond the float range"),
     (["verify", "thm31", "--marginal", "reverse-weibull:0.001"],
@@ -478,7 +482,7 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
     (["sample", "extremal-marginal", "--t", "1e-320", "--n", "3"], "Y(t) lies beyond the float range"),
     (["verify", "thm34", "--m", "1"], "m = 1 draws cannot fail the KS check"),
     (["verify", "thm34", "--triple", "pareto:1e300", "--m", "200"],
-     "tail gap n S - V at n = 10000 beyond the float range"),
+     "V of the pareto(1e+300) limit law on its grid beyond the float range"),
     (["extremal", "path", "--floor", "1e-320"], "floor must lie inside the support"),
     (["verify", "thm31", "--marginal", "frechet:1e300"], "grid must lie inside the support"),
     (["verify", "thm31", "--marginal", "reverse-weibull:1e300"], "grid must lie inside the support"),
@@ -499,6 +503,17 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
     (["verify", "thm32", "--marginal", "reverse-weibull:1e300", "--n", "200"],
      "grid must lie inside the support"),
     (["verify", "thm32", "--marginal", "frechet:600"], "grid must lie inside the support"),
+    (["verify", "thm24", "--family", "mittag-leffler", "--nu", "0.01"],
+     "count index n^(-1/nu) at n = 10000, nu = 0.01 lies beyond the float range"),
+    (["verify", "thm34", "--family", "mittag-leffler", "--nu", "0.01", "--m", "200"],
+     "count index n^(-1/nu) at n = 10000, nu = 0.01 lies beyond the float range"),
+    (["verify", "thm24", "--ns", "1" + "0" * 308], "count index 1/n at n = 1e+308 lies beyond"),
+    (["verify", "thm34", "--n", "1" + "0" * 308, "--m", "200"],
+     "count index 1/n at n = 1e+308 lies beyond"),
+    (["verify", "definetti", "--triple", "pareto:600"], V600),
+    (["verify", "thm24", "--triple", "pareto:600"], V600),
+    (["verify", "definetti", "--triple", "pareto:600", "--family", "mittag-leffler", "--nu", "0.5"],
+     V600),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)
@@ -510,7 +525,8 @@ def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
 
 SWEEP_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e-300", "1e-16", "0.999999", "1", "2",
                 "1e300")
-SWEEP_INTS = ("0", "-1", "1", "2", "3")
+SWEEP_INTS = ("0", "-1", "1", "2", "3")  # --threads takes these too: keep them small
+SEED_EDGES = (str(2**64 - 1), str(2**64))
 BASES = ("pareto:1", "pareto:600", "pareto:1e300", "pareto:0.002", "exponential", "uniform",
          "pareto:-1", "pareto:nan", "cauchy")
 SWEEP_STRINGS = {
@@ -530,7 +546,11 @@ ECHOED_COLUMNS = {("poincare_residuals.csv", "s")}  # a cell copied from the inp
 
 
 def sweep_cases():
-    """Each experiment at its capped defaults, then with one flag at one adversarial value."""
+    """Each experiment at its capped defaults, then with one flag at one adversarial value.
+
+    The swept flags are the experiment's own and the int flags every experiment shares.
+    """
+    shared = tuple(flag for flag in COMMON if flag.type is int)
     for (verb, name), experiment in EXPERIMENTS.items():
         names = {flag.name for flag in experiment.flags}
         families = SWEEP_FAMILIES if "--family" in names else ((),)
@@ -538,13 +558,13 @@ def sweep_cases():
         base += [tok for key, value in SWEEP_BASE.items() if key in names for tok in (key, value)]
         for family in families:
             yield base + list(family)
-            for flag in experiment.flags:
+            for flag in experiment.flags + shared:
                 if flag.name == "--family" or (flag.name == "--nu" and "--nu" not in family):
                     continue
                 if flag.type is float:
                     values = SWEEP_FLOATS
                 elif flag.type is int:
-                    values = SWEEP_INTS
+                    values = SWEEP_INTS + (SEED_EDGES if flag.name == "--seed" else ())
                 else:
                     assert flag.name in SWEEP_STRINGS, f"no sweep values for {flag.name}"
                     values = SWEEP_STRINGS[flag.name]

@@ -294,7 +294,7 @@ def test_run_thm34_pareto():
 
 def test_run_thm34_pareto_full_scale():
     # the slow one: theta = 1e-4 means about 1e9 base draws behind m = 1e5
-    report = run_thm34(GEOMETRIC, PARETO1, n=10_000, m=100_000, seed=71, threads=4)
+    report = run_thm34(GEOMETRIC, PARETO1, n=10_000, m=100_000, seed=71)
     stats = dict(report.stats)
     assert stats["ks_distance"] < 0.01
     assert stats["tail_gap"] < 2e-3 and stats["random_gap"] < 2e-3
@@ -348,11 +348,11 @@ def test_run_doa_table():
 
 def test_reports_are_byte_identical_given_seed():
     a = run_thm32(GEOMETRIC, univariate(Frechet(1.0)), 50_000, seed=69)
-    b = run_thm32(GEOMETRIC, univariate(Frechet(1.0)), 50_000, seed=69, threads=4)
+    b = run_thm32(GEOMETRIC, univariate(Frechet(1.0)), 50_000, seed=69)
     assert a.summary_text() == b.summary_text()
     assert a.tables[0].csv_text() == b.tables[0].csv_text()
     c = run_thm34(GEOMETRIC, PARETO1, n=1_000, m=20_000, seed=70)
-    d = run_thm34(GEOMETRIC, PARETO1, n=1_000, m=20_000, seed=70, threads=4)
+    d = run_thm34(GEOMETRIC, PARETO1, n=1_000, m=20_000, seed=70)
     assert c.summary_text() == d.summary_text()
 
 
