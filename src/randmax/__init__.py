@@ -44,7 +44,7 @@ from .nmid_compose import (
     sample_random_max,
     sample_random_max_seeded,
 )
-from .streams import as_generator, chunked_draws, substream
+from .streams import chunked_draws, substream
 from .verify_harness import (
     ExperimentReport,
     Table,

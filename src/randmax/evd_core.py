@@ -1,9 +1,9 @@
 """Classical extreme value building blocks.
 
-Univariate max-stable marginal types (Frechet, Gumbel, reverse Weibull),
-bivariate dependence through closed-form exponent measures, Poisson-maximum
-distribution functions, and the three base laws of the convergence
-experiments.  Each base law G is its own attraction triple: it carries its
+The standard univariate max-stable marginals (Frechet, Gumbel, reverse
+Weibull), each its type up to an affine norming, bivariate dependence
+through closed-form exponent measures, Poisson-maximum distribution
+functions, and the three base laws of the convergence experiments.  Each base law G is its own attraction triple: it carries its
 normed law ``normed(n)``, that of (X - b_n)/a_n, and its max-stable
 ``target`` H, and ``normed_base`` evaluates the normed survival on a grid.
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from ._util import apply_scalar
 from .errors import ConfigurationError, DomainError
-from .streams import as_generator
 
 INDEPENDENCE = "independence"
 COMPLETE_DEPENDENCE = "complete"
@@ -47,27 +46,21 @@ class _Marginal:
 
 @dataclass(frozen=True)
 class Frechet(_Marginal):
-    """Frechet type: V(x) = ((x - loc)/scale)^(-alpha) above loc, +inf below."""
+    """Standard Frechet type: V(x) = x^(-alpha) above 0, +inf below."""
 
     alpha: float
-    loc: float = 0.0
-    scale: float = 1.0
 
+    lower = 0.0
     grid = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
     def __post_init__(self):
-        _check_marginal(self.alpha, self.scale)
-
-    @property
-    def lower(self):
-        return self.loc
+        _check_positive("shape parameter", self.alpha)
 
     def v(self, x):
         def f(z):
-            z = (z - self.loc) / self.scale
             below = z <= 0.0
-            z[below] = 1.0  # placeholder, so the power raises no warning
-            out = z ** -self.alpha
+            # a placeholder 1 below 0, so the power raises no warning and z stays unwritten
+            out = np.where(below, 1.0, z) ** -self.alpha
             out[below] = np.inf
             return out
 
@@ -76,90 +69,70 @@ class Frechet(_Marginal):
     def vinv(self, w):
         def f(w):
             with np.errstate(divide="ignore"):
-                return self.loc + self.scale * w ** (-1.0 / self.alpha)
+                return w ** (-1.0 / self.alpha)
 
         return apply_scalar(w, f)
 
     def norming(self, t):
-        a = _norming_scale(f"Frechet({self.alpha:g})", t, 1.0 / self.alpha)
-        return a, self.loc * (1.0 - a)
+        return _norming_scale(f"Frechet({self.alpha:g})", t, 1.0 / self.alpha), 0.0
 
 
 @dataclass(frozen=True)
 class Gumbel(_Marginal):
-    """Gumbel type: V(x) = exp(-(x - loc)/scale) on the whole line."""
+    """Standard Gumbel type: V(x) = exp(-x) on the whole line."""
 
-    loc: float = 0.0
-    scale: float = 1.0
-
+    lower = -np.inf
     grid = (-1.0, 0.0, 1.0, 2.0, 4.0)
-
-    def __post_init__(self):
-        _check_marginal(1.0, self.scale)
-
-    @property
-    def lower(self):
-        return -np.inf
 
     def v(self, x):
         def f(z):
             with np.errstate(over="ignore"):
-                return np.exp(-(z - self.loc) / self.scale)
+                return np.exp(-z)
 
         return apply_scalar(x, f)
 
     def vinv(self, w):
         def f(w):
             with np.errstate(divide="ignore"):
-                return self.loc - self.scale * np.log(w)
+                return 0.0 - np.log(w)  # 0 - log(1) is +0, where -log(1) would be -0
 
         return apply_scalar(w, f)
 
     def norming(self, t):
-        return 1.0, self.scale * math.log(t)
+        return 1.0, math.log(t)
 
 
 @dataclass(frozen=True)
 class ReverseWeibull(_Marginal):
-    """Reverse Weibull type: V(x) = ((loc - x)/scale)^alpha below loc, 0 above."""
+    """Standard reverse Weibull type: V(x) = (-x)^alpha below 0, 0 above."""
 
     alpha: float
-    loc: float = 0.0
-    scale: float = 1.0
 
+    lower = -np.inf
     grid = (-4.0, -2.0, -1.0, -0.5, -0.25)
 
     def __post_init__(self):
-        _check_marginal(self.alpha, self.scale)
-
-    @property
-    def lower(self):
-        return -np.inf
+        _check_positive("shape parameter", self.alpha)
 
     def v(self, x):
         def f(z):
-            w = (self.loc - z) / self.scale
+            w = -z
             w[w <= 0.0] = 0.0
             return w ** self.alpha
 
         return apply_scalar(x, f)
 
     def vinv(self, w):
-        return apply_scalar(w, lambda w: self.loc - self.scale * w ** (1.0 / self.alpha))
+        # 0 - w^(1/alpha) is +0 at w = 0, where -(w^(1/alpha)) would be -0
+        return apply_scalar(w, lambda w: 0.0 - w ** (1.0 / self.alpha))
 
     def norming(self, t):
-        a = _norming_scale(f"reverse-Weibull({self.alpha:g})", t, -1.0 / self.alpha)
-        return a, self.loc * (1.0 - a)
+        return _norming_scale(f"reverse-Weibull({self.alpha:g})", t, -1.0 / self.alpha), 0.0
 
 
 def _check_positive(what, value):
     if not 0.0 < value < np.inf:  # also rejects NaN
         raise ConfigurationError(f"{what} must be finite and positive, got {value}")
-
-
-def _check_marginal(alpha, scale):
-    _check_positive("shape parameter", alpha)
-    _check_positive("scale", scale)
 
 
 def _beyond_float_range(what):
@@ -221,12 +194,7 @@ class MaxStableLaw:
                     f"logistic dependence requires r in (0, 1], got {self.r}"
                 )
             for m in self.marginals:
-                if not (
-                    isinstance(m, Frechet)
-                    and m.alpha == 1.0
-                    and m.loc == 0.0
-                    and m.scale == 1.0
-                ):
+                if not (isinstance(m, Frechet) and m.alpha == 1.0):
                     raise ConfigurationError(
                         "logistic dependence requires standardized Frechet(1) marginals"
                     )
@@ -290,18 +258,29 @@ def standard_points(law):
     raise ConfigurationError("standard grids are provided for dimensions 1 and 2 only")
 
 
+def _finite_exponent(law, pts, name, what):
+    """V of ``law`` (called ``name``) at ``pts``, the ``what`` grid; ``DomainError`` where not finite.
+
+    V is infinite by definition at a point on or below the lower end of the
+    support; anywhere else an infinite V overflowed the floats.
+    """
+    with np.errstate(over="ignore"):  # an infinite V is refused below
+        v = np.atleast_1d(law.v(pts))
+    if not np.all(np.isfinite(v)):
+        if np.any(pts <= law.lower):
+            raise DomainError(f"{what} grid must lie inside the support of the {name}")
+        raise _beyond_float_range(f"V of the {name} on its grid")
+    return v
+
+
 def grid_exponent(law, what, grid=None):
     """V of ``law`` on ``grid`` (``standard_points(law)`` when None), checked before any use.
 
-    Where V is infinite, outside the support or beyond the float range, it raises
-    ``DomainError`` and names the grid by ``what``.
+    A grid point outside the support raises ``DomainError`` naming the grid
+    by ``what``; a V that overflows on the grid raises the float-range one.
     """
     pts = standard_points(law) if grid is None else np.asarray(grid, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite V is refused below
-        v = np.atleast_1d(law.v(pts))
-    if np.any(np.isinf(v)):
-        raise DomainError(f"{what} grid must lie inside the support of the base law")
-    return v
+    return _finite_exponent(law, pts, "base law", what)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +385,7 @@ class StdUniform:
     def normed(self, n):
         return NormedBase(lambda z: np.clip(-z / n, 0.0, 1.0), lambda s: -n * s)
 
-    target = ReverseWeibull(1.0, loc=0.0)
+    target = ReverseWeibull(1.0)
 
 
 BASE_TYPES = (Pareto, UnitExponential, StdUniform)
@@ -417,7 +396,7 @@ def normed_base(base, n, grid=None):
 
     S is the survival of ``base.normed(n)``, so it keeps its digits where G
     rounds to 1; V is the exponent of the target H = exp(-V).  A V that is
-    not finite on the grid raises ``DomainError``.
+    not finite on the grid raises ``DomainError``, as in ``grid_exponent``.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -425,12 +404,8 @@ def normed_base(base, n, grid=None):
         raise _beyond_float_range("n")
     if not isinstance(base, BASE_TYPES):
         raise ConfigurationError(f"unsupported base law: {base!r}")
-    target = base.target
-    pts = np.asarray(target.grid if grid is None else grid, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite V is refused below
-        v = np.atleast_1d(target.v(pts))
-    if not np.all(np.isfinite(v)):
-        raise _beyond_float_range(f"V of the {base.name} limit law on its grid")
+    pts = np.asarray(base.target.grid if grid is None else grid, dtype=float)
+    v = _finite_exponent(base.target, pts, f"{base.name} limit law", "limit")
     return np.atleast_1d(base.normed(n).sf(pts)), v
 
 
@@ -491,11 +466,9 @@ class PoissonMax:
         return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
 
 
-def sample_base(base, rng, size=None):
-    """Inversion sampling from a base d.f. (or a tuple of bases, one per axis)."""
-    rng = as_generator(rng)
+def sample_base(base, rng, size):
+    """``size`` inversion draws from a base d.f. (or a tuple of bases, one per axis)."""
     if isinstance(base, tuple):
-        u = rng.random((size if size is not None else 1, len(base)))
-        out = np.column_stack([b.ppf(u[:, i]) for i, b in enumerate(base)])
-        return out[0] if size is None else out
+        u = rng.random((size, len(base)))
+        return np.column_stack([b.ppf(u[:, i]) for i, b in enumerate(base)])
     return base.ppf(rng.random(size))

@@ -24,9 +24,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, MaxStableLaw
-from .streams import as_generator, chunked_list
+from .streams import chunked_list
 
 _TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
+FLOOR_MASS = 1e-3  # the default floor is this quantile of Y(horizon/1000)
 _PATH_RANGE = (
     f"a path state lies beyond the float range (a level V below {_TINY:.6g} "
     f"or a state beyond {_MAX:.6g})"
@@ -59,15 +60,15 @@ class PathColumns(NamedTuple):
         return finals
 
 
-def default_floor(marginal, horizon, mass=1e-3):
-    """Floor at the ``mass`` quantile of Y(t0) with t0 = horizon/1000.
+def default_floor(marginal, horizon):
+    """Floor at the ``FLOOR_MASS`` quantile of Y(t0) with t0 = horizon/1000.
 
     A horizon near the ends of the float range gives a floor outside the
     support (0 or +-inf), which ``simulate_path_columns`` rejects.
     """
     t0 = horizon / 1000.0
     with np.errstate(over="ignore", divide="ignore"):
-        return float(marginal.vinv(-np.log(mass) / t0))
+        return float(marginal.vinv(-np.log(FLOOR_MASS) / t0))
 
 
 def marginal_cdf(law, t, x):
@@ -163,7 +164,7 @@ def simulate_path(law, horizon, rng, floor=None):
     mapped back to a state through ``vinv``.  The one path comes as ``PathColumns``.
     """
     m, y0, v0 = _path_marginal(law, horizon, floor)
-    counts, times, states = _jump_chain(m, v0, horizon, [as_generator(rng)], [1])
+    counts, times, states = _jump_chain(m, v0, horizon, [rng], [1])
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
@@ -177,8 +178,8 @@ def simulate_path_columns(law, horizon, n_paths, seed, floor=None):
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
-def sample_Y_at_time(law, t, rng, size=None):
-    """Exact draw of Y(t): per-coordinate inversion of exp(-t V), as the state of the level E/t.
+def sample_Y_at_time(law, t, rng, size):
+    """``size`` exact draws of Y(t): per coordinate, exp(-t V) inverted as the state of level E/t.
 
     Independence draws one exponential per coordinate; complete dependence
     drives every coordinate with the same exponential.  The logistic model
@@ -192,15 +193,10 @@ def sample_Y_at_time(law, t, rng, size=None):
             "exact sampling supports independence and complete dependence only; "
             "the logistic model ships with CDF evaluation, not a sampler"
         )
-    rng = as_generator(rng)
-    n = 1 if size is None else size
     if law.dim == 1 or law.dependence == COMPLETE_DEPENDENCE:
-        draws = [rng.exponential(size=n)] * law.dim
+        draws = [rng.exponential(size=size)] * law.dim
     else:
-        draws = list(rng.exponential(size=(n, law.dim)).T)
+        draws = list(rng.exponential(size=(size, law.dim)).T)
     with np.errstate(over="ignore", divide="ignore"):
         cols = [_states(m, e / t, _Y_RANGE) for m, e in zip(law.marginals, draws)]
-    if law.dim == 1:
-        return float(cols[0][0]) if size is None else cols[0]
-    out = np.column_stack(cols)
-    return out[0] if size is None else out
+    return cols[0] if law.dim == 1 else np.column_stack(cols)

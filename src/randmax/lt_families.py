@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
-from .streams import as_generator, open_uniform
+from .streams import open_uniform
 
 _TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 
@@ -104,14 +104,14 @@ class LaplaceFamily:
         """The argument of phi in the limit of the random maximum at ``index(n)``."""
         return v
 
-    def sample_count(self, theta, rng, size=None):
-        """Draw N_theta, supported on {1, 2, 3, ...}."""
+    def sample_count(self, theta, rng, size):
+        """Draw ``size`` values of N_theta, supported on {1, 2, 3, ...}."""
         raise NotImplementedError
 
     # -- mixer ----------------------------------------------------------
 
-    def sample_mixer(self, rng, size=None):
-        """Draw U, the positive variable whose Laplace transform is phi."""
+    def sample_mixer(self, rng, size):
+        """Draw ``size`` values of U, the positive variable whose Laplace transform is phi."""
         raise NotImplementedError
 
     def mixer_cdf(self, x):
@@ -167,13 +167,13 @@ class Geometric(LaplaceFamily):
         self.validate_theta(theta)
         return 1.0 / theta
 
-    def sample_count(self, theta, rng, size=None):
+    def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
-        return _geometric_counts(theta, as_generator(rng), size)
+        return _geometric_counts(theta, rng, size)
 
-    def sample_mixer(self, rng, size=None):
+    def sample_mixer(self, rng, size):
         # unit-mean exponential by inversion
-        u = as_generator(rng).random(size)
+        u = rng.random(size)
         return -np.log1p(-u)
 
     def mixer_cdf(self, x):
@@ -227,9 +227,9 @@ class MittagLeffler(LaplaceFamily):
         self.validate_theta(theta)
         return theta**-self.nu
 
-    def sample_count(self, theta, rng, size=None):
+    def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
-        return _geometric_counts(theta**self.nu, as_generator(rng), size)
+        return _geometric_counts(theta**self.nu, rng, size)
 
     def index(self, n):
         # N_theta is geometric with success theta^nu, so n theta^nu = 1 balances 1 - G ~ V/n
@@ -242,10 +242,9 @@ class MittagLeffler(LaplaceFamily):
         with np.errstate(over="ignore"):
             return v ** (1.0 / self.nu)
 
-    def sample_mixer(self, rng, size=None):
+    def sample_mixer(self, rng, size):
         # U = E^{1/nu} * S_nu mixes a unit exponential with a positive
         # nu-stable factor; its Laplace transform is 1/(1+s^nu).
-        rng = as_generator(rng)
         e = rng.exponential(size=size)
         stable = sample_positive_stable(self.nu, rng, size)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -288,17 +287,13 @@ class Degenerate(LaplaceFamily):
     def count_mean(self, theta):
         return float(self.count_value(theta))
 
-    def sample_count(self, theta, rng, size=None):
+    def sample_count(self, theta, rng, size):
         n = self.count_value(theta)
         if n >= 2**63:
             raise DomainError(f"degenerate count 1/theta = {n:.6g} exceeds the int64 range")
-        if size is None:
-            return n
         return np.full(size, n, dtype=np.int64)
 
-    def sample_mixer(self, rng, size=None):
-        if size is None:
-            return 1.0
+    def sample_mixer(self, rng, size):
         return np.ones(size)
 
     def mixer_cdf(self, x):
@@ -328,12 +323,10 @@ def _geometric_counts(p, rng, size):
         raise DomainError(
             f"geometric count with success probability {p:g} exceeds the int64 range"
         )
-    if size is None:
-        return int(k)
     return k.astype(np.int64)
 
 
-def sample_positive_stable(nu, rng, size=None):
+def sample_positive_stable(nu, rng, size):
     """Draw a positive nu-stable variable with Laplace transform exp(-s^nu).
 
     Kanter's construction: with W uniform on (0, pi) and E a unit
@@ -342,7 +335,6 @@ def sample_positive_stable(nu, rng, size=None):
     """
     if not 0.0 < nu < 1.0:
         raise ConfigurationError(f"stable order must be in (0, 1), got {nu}")
-    rng = as_generator(rng)
     w = np.pi * open_uniform(rng, size)  # W = 0 would give sin(0)/sin(0)
     e = rng.exponential(size=size)
     a = (
@@ -379,5 +371,5 @@ class CountScheme:
     def pgf(self, s):
         return self.family.pgf(self.theta, s)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return self.family.sample_count(self.theta, rng, size)

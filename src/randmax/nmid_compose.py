@@ -10,7 +10,7 @@ survival space), and the same-type decomposition F = P_theta(F_theta).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ._util import BLOCK_VALUES
 from .errors import ConfigurationError
 from .evd_core import MaxStableLaw, PoissonMax, grid_exponent
 from .lt_families import Degenerate
-from .streams import as_generator, chunked_draws
+from .streams import chunked_draws
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,13 @@ class NMaxStableLaw:
         return self.family.lt(self.base.v(x))
 
 
-@lru_cache(maxsize=8)
-def _half_line_rule(nodes):
+QUADRATURE_NODES = 256
+
+
+@cache
+def _half_line_rule():
     # Gauss-Legendre on [0,1] pushed to (0,inf) through t = u/(1-u).
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     u = 0.5 * (u + 1.0)
     w = 0.5 * w
     t = u / (1.0 - u)
@@ -58,27 +61,26 @@ def _half_line_rule(nodes):
     return t, weight
 
 
-def mixture_cdf(law, x, nodes=256):
+def mixture_cdf(law, x):
     """Quadrature oracle: integral of H(x)^t against the mixer density.
 
     Independent of the closed-form composition; must agree with
     ``law.cdf`` to high accuracy.  Available for families whose mixer has
     a closed-form density (geometric) or is a point mass (degenerate).
-    The points are integrated ``BLOCK_VALUES // nodes`` at a time, so the
+    The Gauss-Legendre rule has order ``QUADRATURE_NODES``, and the points
+    are integrated ``BLOCK_VALUES // QUADRATURE_NODES`` at a time, so the
     working memory is one block of exponentials whatever the input size.
     """
-    if nodes < 64:
-        raise ConfigurationError(f"at least 64 quadrature nodes required, got {nodes}")
     if isinstance(law.family, Degenerate):
         # the mixer is a point mass at 1, so the mixture is H itself
         return law.base.cdf(x)
     density = law.family.mixer_density  # raises for unsupported mixers
-    t, weight = _half_line_rule(nodes)
+    t, weight = _half_line_rule()
     coeff = weight * density(t)
     v = np.asarray(law.v(x), dtype=float)
     flat = v.reshape(-1)
     out = np.empty(flat.shape)
-    rows = max(1, BLOCK_VALUES // nodes)
+    rows = BLOCK_VALUES // QUADRATURE_NODES
     for start in range(0, flat.size, rows):
         block = np.multiply.outer(-flat[start:start + rows], t)
         np.exp(block, out=block)
@@ -96,8 +98,8 @@ def _max_survival(u, counts):
         return -np.expm1(np.log(u) / counts)
 
 
-def sample_random_max(scheme, base, rng, size=None):
-    """Componentwise maximum of N_theta independent draws from ``base``.
+def sample_random_max(scheme, base, rng, size):
+    """``size`` componentwise maxima of N_theta independent draws from ``base``.
 
     The count is drawn first, then the maximum by inverting G^N in survival
     space, so for every theta the sample has d.f. P_theta(G(x)) at a cost
@@ -105,15 +107,11 @@ def sample_random_max(scheme, base, rng, size=None):
     count.  Count and maximum uniforms come from the same positions of the
     stream at every theta, so smaller theta gives pathwise larger draws.
     """
-    rng = as_generator(rng)
-    n = 1 if size is None else size
-    counts = np.atleast_1d(scheme.sample(rng, n))
+    counts = scheme.sample(rng, size)
     if isinstance(base, tuple):
-        s = _max_survival(rng.random((n, len(base))), counts[:, None])
-        out = np.column_stack([b.isf(s[:, i]) for i, b in enumerate(base)])
-    else:
-        out = base.isf(_max_survival(rng.random(n), counts))
-    return out[0] if size is None else out
+        s = _max_survival(rng.random((size, len(base))), counts[:, None])
+        return np.column_stack([b.isf(s[:, i]) for i, b in enumerate(base)])
+    return base.isf(_max_survival(rng.random(size), counts))
 
 
 def sample_random_max_seeded(scheme, base, seed, n, threads=1):

@@ -42,15 +42,8 @@ def substream(seed, index=0):
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
-def as_generator(rng):
-    """Accept either an integer seed or an existing ``numpy.random.Generator``."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return substream(rng, 0)
-
-
-def open_uniform(rng, size=None):
-    """Uniforms on the open interval (0, 1).
+def open_uniform(rng, size):
+    """``size`` uniforms on the open interval (0, 1).
 
     ``rng.random`` draws from the grid k * 2**-53, k < 2**53; its one value
     0 moves to 2**-54 and every other draw is returned unchanged.
@@ -65,8 +58,8 @@ def _spans(n, chunk, what):
     return [(index, start, min(chunk, n - start)) for index, start in enumerate(range(0, n, chunk))]
 
 
-def chunked_draws(seed, n, draw, chunk=CHUNK_DRAWS):
-    """Assemble ``n`` draws from fixed-size substream chunks, in place.
+def chunked_draws(seed, n, draw):
+    """Assemble ``n`` draws from substream chunks of ``CHUNK_DRAWS``, in place.
 
     ``draw(rng, m)`` must return an array whose leading axis has length ``m``.
     Chunk 0 sets the dtype and trailing shape of the output, which is
@@ -74,7 +67,7 @@ def chunked_draws(seed, n, draw, chunk=CHUNK_DRAWS):
     the output plus one chunk.
     """
     out = None
-    for index, start, m in _spans(n, chunk, "sample size"):
+    for index, start, m in _spans(n, CHUNK_DRAWS, "sample size"):
         part = draw(substream(seed, index), m)
         if out is None:
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype, order="F")
@@ -82,14 +75,14 @@ def chunked_draws(seed, n, draw, chunk=CHUNK_DRAWS):
     return out
 
 
-def chunked_list(seed, n, build, chunk=CHUNK_PATHS):
+def chunked_list(seed, n, build):
     """``[build(rngs, sizes) for each run of GROUP_CHUNKS consecutive chunks]``, in order.
 
-    The ``n`` items are cut into fixed-size chunks as in ``chunked_draws``;
+    The ``n`` items are cut into chunks of ``CHUNK_PATHS`` as in ``chunked_draws``;
     chunk ``j`` of a run holds ``sizes[j]`` items and reads ``rngs[j]``, its
     own substream.
     """
-    spans = _spans(n, chunk, "count")
+    spans = _spans(n, CHUNK_PATHS, "count")
     runs = [spans[start:start + GROUP_CHUNKS] for start in range(0, len(spans), GROUP_CHUNKS)]
     return [
         build([substream(seed, index) for index, _, _ in run], [m for _, _, m in run])

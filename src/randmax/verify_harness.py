@@ -27,7 +27,12 @@ KS_ONE_PERCENT = 1.628
 KS_EXACT_BELOW = 100  # sample sizes whose KS critical value is exact, not asymptotic
 IDENTITY_TOL = 1e-12
 LIMIT_TOL = 2e-3
+DEFINETTI_TOL = 1e-3  # the final de Finetti gap
+DOA_TAIL_TOL = 1e-3  # the final tail gap of a domain-of-attraction table
 PRELIMIT_ALLOWANCE = 0.01
+# thm24 holds its random gap within WITNESS_SLACK of its deterministic gap from n = WITNESS_MIN_N on
+WITNESS_SLACK = 5e-3
+WITNESS_MIN_N = 100
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,7 @@ def _random_limit(family, v):
     return family.lt(family.limit_exponent(v))
 
 
-def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDENTITY_TOL):
+def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID):
     """Residuals of the composition identity P_theta(phi(theta s)) = phi(s)."""
     rows = []
     worst = 0.0
@@ -230,11 +235,11 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID, tol=IDE
     table = Table.from_rows(name="residuals", columns=("theta", "s", "residual"), rows=rows)
     return ExperimentReport(
         name="poincare",
-        params={"family": family.name, "tolerance": tol},
+        params={"family": family.name, "tolerance": IDENTITY_TOL},
         seed=None,
         tables=(table,),
         stats={"max_residual": worst},
-        passed=worst < tol,
+        passed=worst < IDENTITY_TOL,
     )
 
 
@@ -278,34 +283,26 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE):
     )
 
 
-def run_definetti(family, base, ns=DEFAULT_NS, grid=None, tol=1e-3):
+def run_definetti(family, base, ns=DEFAULT_NS):
     """Gap of phi(n(1 - G(a_n x + b_n))) against phi(V(x)) along n."""
     _check_ns(ns)
     gaps = []
     for n in ns:
-        s, v = normed_base(base, n, grid)
+        s, v = normed_base(base, n)
         gaps.append(float(np.abs(family.lt(n * s) - family.lt(v)).max()))
     monotone = _monotone(gaps)
     table = Table(name="gaps", columns=("n", "sup_gap"), data=(list(map(int, ns)), gaps))
     return ExperimentReport(
         name="definetti",
-        params={"family": family.name, "triple": base.name, "tolerance": tol},
+        params={"family": family.name, "triple": base.name, "tolerance": DEFINETTI_TOL},
         seed=None,
         tables=(table,),
         stats={"final_gap": gaps[-1], "monotone": monotone},
-        passed=gaps[-1] < tol and monotone,
+        passed=gaps[-1] < DEFINETTI_TOL and monotone,
     )
 
 
-def run_thm24(
-    family,
-    base,
-    ns=DEFAULT_NS,
-    grid=None,
-    tol=LIMIT_TOL,
-    witness_slack=5e-3,
-    witness_min_n=100,
-):
+def run_thm24(family, base, ns=DEFAULT_NS):
     """Paired convergence: G^n toward H against the random maximum toward its limit.
 
     The random column is sup |P_theta(G(a_n x + b_n)) - phi(W(x))| with the
@@ -316,29 +313,29 @@ def run_thm24(
     and W = V^(1/nu): phi(W) = 1/(1 + V), and the Mittag-Leffler random
     maximum of a classical base lands in the geometric class.
 
-    Both sup gaps must fall below ``tol`` at the final n and shrink
+    Both sup gaps must fall below ``LIMIT_TOL`` at the final n and shrink
     monotonically.  The limit map V -> phi(W) is 1-Lipschitz for every
     family, so the random gap is additionally held to within
-    ``witness_slack`` of the deterministic gap on rows with
-    n >= ``witness_min_n``; at smaller n the pre-limit terms dominate and
+    ``WITNESS_SLACK`` of the deterministic gap on rows with
+    n >= ``WITNESS_MIN_N``; at smaller n the pre-limit terms dominate and
     no domination is claimed.
     """
     _check_ns(ns)
     rows = []
     for n in ns:
-        s, v = normed_base(base, n, grid)
+        s, v = normed_base(base, n)
         det = cdf_gap(n, s, v)
         ran = float(np.abs(family.pgf_sf(family.index(n), s) - _random_limit(family, v)).max())
         rows.append((int(n), det, ran))
     _, det_gaps, ran_gaps = zip(*rows)
     monotone = _monotone(det_gaps) and _monotone(ran_gaps)
-    witness = all(ran <= det + witness_slack for n, det, ran in rows if n >= witness_min_n)
+    witness = all(ran <= det + WITNESS_SLACK for n, det, ran in rows if n >= WITNESS_MIN_N)
     table = Table.from_rows(
         name="convergence", columns=("n", "sup_gap_deterministic", "sup_gap_random"), rows=rows
     )
     return ExperimentReport(
         name="thm24",
-        params={"family": family.name, "triple": base.name, "tolerance": tol},
+        params={"family": family.name, "triple": base.name, "tolerance": LIMIT_TOL},
         seed=None,
         tables=(table,),
         stats={
@@ -347,11 +344,11 @@ def run_thm24(
             "monotone": monotone,
             "witness": witness,
         },
-        passed=det_gaps[-1] < tol and ran_gaps[-1] < tol and monotone and witness,
+        passed=det_gaps[-1] < LIMIT_TOL and ran_gaps[-1] < LIMIT_TOL and monotone and witness,
     )
 
 
-def run_thm31(family, law, thetas=POINCARE_THETAS, grid=None, tol=IDENTITY_TOL):
+def run_thm31(family, law, thetas=POINCARE_THETAS):
     """Same-type decomposition residuals F = P_theta(F_theta) over theta."""
     nlaw = NMaxStableLaw(family, law)
     dim = law.dim
@@ -361,7 +358,7 @@ def run_thm31(family, law, thetas=POINCARE_THETAS, grid=None, tol=IDENTITY_TOL):
     rows = []
     worst = 0.0
     for theta in thetas:
-        residual, norming = same_type_decompose(nlaw, theta, grid=grid)
+        residual, norming = same_type_decompose(nlaw, theta)
         worst = max(worst, residual)
         row = [theta, residual]
         for scale, shift in norming:
@@ -370,11 +367,11 @@ def run_thm31(family, law, thetas=POINCARE_THETAS, grid=None, tol=IDENTITY_TOL):
     table = Table.from_rows(name="decomposition", columns=tuple(columns), rows=rows)
     return ExperimentReport(
         name="thm31",
-        params={"family": family.name, "dim": dim, "tolerance": tol},
+        params={"family": family.name, "dim": dim, "tolerance": IDENTITY_TOL},
         seed=None,
         tables=(table,),
         stats={"max_residual": worst},
-        passed=worst < tol,
+        passed=worst < IDENTITY_TOL,
     )
 
 
@@ -393,8 +390,8 @@ def run_thm32(family, law, n, seed):
     grid_exponent(law, "subordination")
 
     def draw(rng, m):
-        z = np.atleast_1d(family.sample_mixer(rng, m))
-        return sample_Y_at_time(law, z, rng, size=m)
+        z = family.sample_mixer(rng, m)
+        return sample_Y_at_time(law, z, rng, m)
 
     sample = chunked_draws(seed, n, draw)
     sample.sort(axis=0)
@@ -423,16 +420,7 @@ def run_thm32(family, law, n, seed):
     )
 
 
-def run_thm34(
-    family,
-    base,
-    n,
-    m,
-    seed,
-    tol=LIMIT_TOL,
-    allowance=PRELIMIT_ALLOWANCE,
-    grid=None,
-):
+def run_thm34(family, base, n, m, seed):
     """Random domain of attraction (Theorem 3.4): analytic gap plus seeded sampling check.
 
     The count index is theta = ``family.index(n)`` and the limit is
@@ -445,7 +433,7 @@ def run_thm34(
     normalized random maximum at theta held against F by KS with the
     pre-limit allowance added to the critical value.
     """
-    s, v = normed_base(base, n, grid)
+    s, v = normed_base(base, n)
     tail, det = tail_gap(n, s, v), cdf_gap(n, s, v)
     theta = family.index(n)
     random_gap = float(np.abs(family.pgf_sf(theta, s) - _random_limit(family, v)).max())
@@ -454,14 +442,14 @@ def run_thm34(
     draws.sort()
     distance = ks_distance(draws, lambda x: _random_limit(family, base.target.v(x)))
     critical = float(ks_critical(m))
-    if critical + allowance >= 1.0:  # no KS distance exceeds 1
+    if critical + PRELIMIT_ALLOWANCE >= 1.0:  # no KS distance exceeds 1
         raise DomainError(
             f"m = {m} draws cannot fail the KS check: its critical value {critical:.6g} "
-            f"plus the allowance {allowance:g} is at least 1"
+            f"plus the allowance {PRELIMIT_ALLOWANCE:g} is at least 1"
         )
 
-    analytic_ok = tail < tol and random_gap < tol
-    ks_ok = distance < critical + allowance
+    analytic_ok = tail < LIMIT_TOL and random_gap < LIMIT_TOL
+    ks_ok = distance < critical + PRELIMIT_ALLOWANCE
     table = Table.from_rows(
         name="gaps",
         columns=("n", "tail_gap", "cdf_gap", "random_gap"),
@@ -477,16 +465,16 @@ def run_thm34(
             "random_gap": random_gap,
             "ks_distance": distance,
             "ks_critical": critical,
-            "allowance": allowance,
+            "allowance": PRELIMIT_ALLOWANCE,
         },
         passed=analytic_ok and ks_ok,
     )
 
 
-def run_doa_table(base, ns=DEFAULT_NS, grid=None):
+def run_doa_table(base, ns=DEFAULT_NS):
     """Domain-of-attraction gaps along n for one base law."""
     _check_ns(ns)
-    rows = [(int(n), *doa_gap(base, n, grid=grid)) for n in ns]
+    rows = [(int(n), *doa_gap(base, n)) for n in ns]
     _, final_tail, final_cdf = rows[-1]
     monotone = _monotone([cdf_gap for _, _, cdf_gap in rows])
     table = Table.from_rows(name="gaps", columns=("n", "tail_gap", "cdf_gap"), rows=rows)
@@ -496,5 +484,5 @@ def run_doa_table(base, ns=DEFAULT_NS, grid=None):
         seed=None,
         tables=(table,),
         stats={"final_tail_gap": final_tail, "final_cdf_gap": final_cdf, "monotone": monotone},
-        passed=final_tail < 1e-3 and monotone,
+        passed=final_tail < DOA_TAIL_TOL and monotone,
     )

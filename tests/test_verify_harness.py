@@ -29,7 +29,7 @@ from randmax import (
     substream,
     univariate,
 )
-from randmax.evd_core import Frechet
+from randmax.evd_core import Frechet, cdf_gap, normed_base
 from randmax.verify_harness import (
     BLOCK_VALUES,
     CSV_BLOCK_ROWS,
@@ -254,11 +254,19 @@ def test_run_thm24_mittag_leffler_lands_in_the_geometric_class():
 
 
 def test_run_thm24_grid_refinement_stability():
+    # thm24's two gaps, rebuilt from the normed survival; on the target grid they are the
+    # runner's, and adding the grid's midpoints moves neither by more than 10 percent
     grid = np.asarray(PARETO1.target.grid)
     refined = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-    coarse = run_thm24(GEOMETRIC, PARETO1).tables[0].rows
-    fine = run_thm24(GEOMETRIC, PARETO1, grid=refined).tables[0].rows
-    for (_, d0, r0), (_, d1, r1) in zip(coarse, fine):
+
+    def gaps(n, points):
+        s, v = normed_base(PARETO1, n, points)
+        limit = GEOMETRIC.lt(GEOMETRIC.limit_exponent(v))
+        return cdf_gap(n, s, v), float(np.abs(GEOMETRIC.pgf_sf(GEOMETRIC.index(n), s) - limit).max())
+
+    for n, d0, r0 in run_thm24(GEOMETRIC, PARETO1).tables[0].rows:
+        assert gaps(n, grid) == (d0, r0)
+        d1, r1 = gaps(n, refined)
         assert abs(d1 - d0) <= 0.10 * max(d0, 1e-15)
         assert abs(r1 - r0) <= 0.10 * max(r0, 1e-15)
 
