@@ -17,7 +17,6 @@ from .evd_core import (
     StdUniform,
     UnitExponential,
     doa_gap,
-    sample_base,
     standard_points,
     standard_triple,
     univariate,
@@ -25,7 +24,6 @@ from .evd_core import (
 from .extremal_proc import (
     PathColumns,
     default_floor,
-    marginal_cdf,
     sample_Y_at_time,
     simulate_path,
     simulate_path_columns,

@@ -32,7 +32,7 @@ from .evd_core import (
 )
 from .extremal_proc import sample_Y_at_time, simulate_path_columns
 from .lt_families import CountScheme, Degenerate, Geometric, MittagLeffler
-from .nmid_compose import sample_random_max_seeded
+from .nmid_compose import sample_random_max
 from .streams import check_seed, chunked_draws
 from .verify_harness import (
     Table,
@@ -192,19 +192,18 @@ def _resolve_seed(args):
         raise ConfigurationError(f"${DEFAULT_SEED_ENV}: {exc}") from None
 
 
-def _sample_table(values, name):
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+def _tabulate_draws(args, seed, name, draw):
+    """``args.n`` draws of ``draw(rng, m)`` from seeded chunks, as the table ``name``.
+
+    The draws keep their dtype, so a count is written as the integer it is.
+    """
+    values = chunked_draws(seed, args.n, draw)
     if values.ndim == 1:
         columns, data = ("index", "value"), (values,)
     else:
         columns = ("index",) + tuple(f"x{i}" for i in range(values.shape[1]))
         data = tuple(values.T)
     return Table(name, columns, (np.arange(len(values)),) + data)
-
-
-def _tabulate_draws(args, seed, name, draw):
-    """``args.n`` draws of ``draw(rng, m)`` from seeded chunks, as the table ``name``."""
-    return _sample_table(chunked_draws(seed, args.n, draw), name)
 
 
 def _extremal_paths(args, seed):
@@ -302,11 +301,9 @@ EXPERIMENTS = {
         "draws of the random maximum max of N_theta base draws",
         FAMILY + (Flag("--theta", type=float, required=True), Flag("--base", "pareto:1"),
                   Flag("--n", 10, int)),
-        lambda a, seed: _sample_table(
-            sample_random_max_seeded(
-                CountScheme(make_family(a), a.theta), parse_base(a.base), seed, a.n
-            ),
-            "randmax",
+        lambda a, seed: _tabulate_draws(
+            a, seed, "randmax",
+            partial(sample_random_max, CountScheme(make_family(a), a.theta), parse_base(a.base)),
         ),
     ),
     ("sample", "mixer"): Experiment(

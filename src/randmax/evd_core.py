@@ -234,13 +234,6 @@ class MaxStableLaw:
         v = self.v(x)
         return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
 
-    def norming(self, t):
-        """Per-coordinate (A_t, B_t) with H^t(A_t x + B_t) = H(x)."""
-        pairs = [m.norming(t) for m in self.marginals]
-        if self.dim == 1:
-            return pairs[0]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
 
 def univariate(marginal):
     """Wrap one marginal as a dimension-1 max-stable law."""
@@ -261,9 +254,12 @@ def standard_points(law):
 def _finite_exponent(law, pts, name, what):
     """V of ``law`` (called ``name``) at ``pts``, the ``what`` grid; ``DomainError`` where not finite.
 
-    V is infinite by definition at a point on or below the lower end of the
-    support; anywhere else an infinite V overflowed the floats.
+    A NaN grid point is refused by name, before V is read.  V is infinite
+    by definition at a point on or below the lower end of the support;
+    anywhere else an infinite V overflowed the floats.
     """
+    if np.any(np.isnan(pts)):
+        raise DomainError(f"{what} grid of the {name} holds a NaN point")
     with np.errstate(over="ignore"):  # an infinite V is refused below
         v = np.atleast_1d(law.v(pts))
     if not np.all(np.isfinite(v)):
@@ -287,7 +283,7 @@ def grid_exponent(law, what, grid=None):
 # Base laws, normed base laws and Poisson maxima
 # ---------------------------------------------------------------------------
 
-# A base law gives G (``cdf``, ``ppf``), its survival quantile ``isf`` and its normed
+# A base law gives G (``cdf``), its survival quantile ``isf`` and its normed
 # law ``normed(n)`` in closed form, so no point a_n x + b_n or raw maximum is formed.
 
 
@@ -325,9 +321,6 @@ class Pareto:
 
         return apply_scalar(x, f)
 
-    def ppf(self, u):
-        return self.isf(1.0 - np.asarray(u, dtype=float))
-
     def isf(self, s):
         try:
             with np.errstate(over="raise"):
@@ -355,9 +348,6 @@ class UnitExponential:
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.where(z > 0.0, -np.expm1(-z), 0.0))
 
-    def ppf(self, u):
-        return apply_scalar(u, lambda u: -np.log1p(-u))
-
     def isf(self, s):
         return apply_scalar(s, lambda s: -np.log(s))
 
@@ -375,9 +365,6 @@ class StdUniform:
 
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.clip(z, 0.0, 1.0))
-
-    def ppf(self, u):
-        return apply_scalar(u, lambda u: u)
 
     def isf(self, s):
         return apply_scalar(s, lambda s: 1.0 - s)
@@ -464,11 +451,3 @@ class PoissonMax:
     def cdf(self, x):
         v = self.v(x)
         return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
-
-
-def sample_base(base, rng, size):
-    """``size`` inversion draws from a base d.f. (or a tuple of bases, one per axis)."""
-    if isinstance(base, tuple):
-        u = rng.random((size, len(base)))
-        return np.column_stack([b.ppf(u[:, i]) for i, b in enumerate(base)])
-    return base.ppf(rng.random(size))

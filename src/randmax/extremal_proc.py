@@ -71,15 +71,6 @@ def default_floor(marginal, horizon):
         return float(marginal.vinv(-np.log(FLOOR_MASS) / t0))
 
 
-def marginal_cdf(law, t, x):
-    """P(Y(t) <= x) = exp(-t V(x)) for the process driven by ``law``."""
-    t = float(t)
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    v = law.v(x)
-    return float(np.exp(-t * v)) if np.isscalar(v) else np.exp(-t * v)
-
-
 def _path_marginal(law, horizon, floor):
     """The marginal of a univariate ``law``, the floor y0 and V0 = V(y0), all checked."""
     if not (isinstance(law, MaxStableLaw) and law.dim == 1):

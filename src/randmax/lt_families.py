@@ -64,10 +64,6 @@ class LaplaceFamily:
                 f"theta must be at least the smallest normal float {_TINY:.6g}, got {theta}"
             )
 
-    def pgf(self, theta, u):
-        """P_theta(u) = phi(phi^{-1}(u)/theta) on [0, 1], as ``pgf_sf(theta, 1 - u)``."""
-        return self.pgf_sf(theta, np.subtract(1.0, u))
-
     def pgf_sf(self, theta, s):
         """P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta) for a survival s in [0, 1].
 
@@ -367,9 +363,6 @@ class CountScheme:
     @property
     def mean(self):
         return self.family.count_mean(self.theta)
-
-    def pgf(self, s):
-        return self.family.pgf(self.theta, s)
 
     def sample(self, rng, size):
         return self.family.sample_count(self.theta, rng, size)

@@ -30,7 +30,8 @@ LIMIT_TOL = 2e-3
 DEFINETTI_TOL = 1e-3  # the final de Finetti gap
 DOA_TAIL_TOL = 1e-3  # the final tail gap of a domain-of-attraction table
 PRELIMIT_ALLOWANCE = 0.01
-# thm24 holds its random gap within WITNESS_SLACK of its deterministic gap from n = WITNESS_MIN_N on
+# thm24 holds its random gap within WITNESS_SLACK of its deterministic gap from n = WITNESS_MIN_N on,
+# an empirical rule that Theorem 2.4 does not imply
 WITNESS_SLACK = 5e-3
 WITNESS_MIN_N = 100
 
@@ -167,9 +168,6 @@ class Table:
         yield (",".join(self.columns) + "\n").encode("utf-8")
         for start in range(0, len(self.rows), CSV_BLOCK_ROWS):
             yield csv_rows([column[start:start + CSV_BLOCK_ROWS] for column in self.data])
-
-    def csv_text(self):
-        return b"".join(self.csv_blocks()).decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -314,11 +312,12 @@ def run_thm24(family, base, ns=DEFAULT_NS):
     maximum of a classical base lands in the geometric class.
 
     Both sup gaps must fall below ``LIMIT_TOL`` at the final n and shrink
-    monotonically.  The limit map V -> phi(W) is 1-Lipschitz for every
-    family, so the random gap is additionally held to within
-    ``WITNESS_SLACK`` of the deterministic gap on rows with
-    n >= ``WITNESS_MIN_N``; at smaller n the pre-limit terms dominate and
-    no domination is claimed.
+    monotonically.  On rows with n >= ``WITNESS_MIN_N`` the random gap is
+    also held to within ``WITNESS_SLACK`` of the deterministic gap.  That
+    witness is an empirical rule, not a consequence of Theorem 2.4: the
+    two gaps fall at different first-order rates, and a steep tail such as
+    Pareto(2.5) fails it at n = 100 on a correct program.  At smaller n no
+    domination is claimed.
     """
     _check_ns(ns)
     rows = []

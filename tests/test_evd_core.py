@@ -22,13 +22,14 @@ from randmax import (
     ks_distance,
     run_definetti,
     run_thm24,
-    sample_base,
+    same_type_decompose,
     standard_points,
     standard_triple,
     substream,
     univariate,
 )
 from randmax._csvtext import format_value
+from oracles import norming, ppf, sample_base
 
 MARGINALS = [Frechet(1.0), Frechet(2.0), Gumbel(), ReverseWeibull(1.0), ReverseWeibull(2.0)]
 BASES = [Pareto(1.0), UnitExponential(), StdUniform()]
@@ -96,7 +97,7 @@ def test_max_stability_identity():
         pts = standard_points(law)
         h = np.atleast_1d(law.cdf(pts))
         for t in (2.0, 5.0, 10.0):
-            a, b = law.norming(t)
+            a, b = norming(law, t)
             scaled = np.atleast_1d(law.cdf(a * pts + b)) ** t
             assert np.abs(scaled - h).max() < 1e-12, (law, t)
 
@@ -209,6 +210,15 @@ def test_normed_law_matches_the_raw_normed_form(base, norming, raw_sf, n):
     assert math.isnan(law.sf(math.nan))
 
 
+def test_nan_grid_point_is_refused_by_name():
+    # a NaN V is no overflow: the point is refused before V is read
+    with pytest.raises(DomainError, match=r"limit grid of the pareto\(1\) limit law holds a NaN"):
+        doa_gap(Pareto(1.0), 10, grid=[math.nan])
+    law = NMaxStableLaw(Geometric(), univariate(Frechet(1.0)))
+    with pytest.raises(DomainError, match="decomposition grid of the base law holds a NaN point"):
+        same_type_decompose(law, 0.5, grid=[math.nan])
+
+
 def test_doa_gap_exponential_grid():
     triple = standard_triple("exponential")
     tail_gap, cdf_gap = doa_gap(triple, 10_000, grid=np.linspace(-1.0, 5.0, 61))
@@ -270,7 +280,7 @@ def test_marginal_ppf_round_trip():
     for marginal in MARGINALS:
         assert np.abs(marginal.cdf(marginal.ppf(u)) - u).max() < 1e-12
     for base in BASES:
-        assert np.abs(base.cdf(base.ppf(u)) - u).max() < 1e-12
+        assert np.abs(base.cdf(ppf(base, u)) - u).max() < 1e-12
 
 
 @pytest.mark.parametrize("marginal", [Frechet(1.0), Gumbel(), ReverseWeibull(1.0)])

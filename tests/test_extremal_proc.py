@@ -18,7 +18,6 @@ from randmax import (
     ks_critical,
     ks_distance,
     ks_two_sample,
-    marginal_cdf,
     run_thm32,
     sample_Y_at_time,
     simulate_path,
@@ -28,6 +27,7 @@ from randmax import (
 )
 from randmax.extremal_proc import _path_marginal
 from randmax.streams import CHUNK_PATHS, GROUP_CHUNKS, open_uniform
+from oracles import marginal_cdf
 
 FRECHET1 = univariate(Frechet(1.0))
 

@@ -14,6 +14,7 @@ from randmax import (
     sample_positive_stable,
     substream,
 )
+from oracles import pgf, scheme_pgf
 
 FAMILIES = [Geometric(), MittagLeffler(0.5), Degenerate()]
 THETA_GRID = (0.5, 0.1, 0.01)
@@ -97,21 +98,21 @@ def test_complete_monotonicity_sign_alternation():
 
 def test_pgf_endpoints_and_closed_form():
     scheme = CountScheme(Geometric(), 0.5)
-    assert scheme.pgf(1.0) == 1.0
-    assert scheme.pgf(0.0) == 0.0
-    assert scheme.pgf(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert scheme_pgf(scheme, 1.0) == 1.0
+    assert scheme_pgf(scheme, 0.0) == 0.0
+    assert scheme_pgf(scheme, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
     # geometric closed form theta*s / (1 - (1-theta)*s)
     s = np.linspace(0.0, 1.0, 101)
     for theta in THETA_GRID:
         scheme = CountScheme(Geometric(), theta)
         closed = theta * s / (1.0 - (1.0 - theta) * s)
-        assert np.abs(scheme.pgf(s) - closed).max() < 1e-14
+        assert np.abs(scheme_pgf(scheme, s) - closed).max() < 1e-14
 
 
 def test_pgf_poincare_example():
     g = Geometric()
     scheme = CountScheme(g, 0.1)
-    assert scheme.pgf(g.lt(0.3)) == pytest.approx(0.25, abs=1e-14)
+    assert scheme_pgf(scheme, g.lt(0.3)) == pytest.approx(0.25, abs=1e-14)
     assert g.lt(3.0) == 0.25
 
 
@@ -120,7 +121,7 @@ def test_poincare_identity_grid():
         worst = 0.0
         for theta in THETA_GRID:
             for s in S_GRID:
-                residual = abs(family.pgf(theta, family.lt(theta * s)) - family.lt(s))
+                residual = abs(pgf(family, theta, family.lt(theta * s)) - family.lt(s))
                 worst = max(worst, residual)
         assert worst < 1e-12, family.name
 
@@ -129,7 +130,7 @@ def test_pgf_maps_unit_interval_and_is_nondecreasing():
     s = np.linspace(0.0, 1.0, 201)
     for family in FAMILIES:
         for theta in THETA_GRID:
-            values = family.pgf(theta, s)
+            values = pgf(family, theta, s)
             assert np.all((values >= 0.0) & (values <= 1.0))
             assert np.all(np.diff(values) >= 0.0)
 
@@ -138,8 +139,8 @@ def test_pgf_from_the_survival():
     u = np.linspace(0.0, 1.0, 201)
     for family in FAMILIES:
         for theta in THETA_GRID:
-            assert np.abs(family.pgf_sf(theta, 1.0 - u) - family.pgf(theta, u)).max() < 1e-14
-            assert np.isnan(family.pgf(theta, np.array([np.nan, 0.5]))[0])
+            assert np.abs(family.pgf_sf(theta, 1.0 - u) - pgf(family, theta, u)).max() < 1e-14
+            assert np.isnan(pgf(family, theta, np.array([np.nan, 0.5]))[0])
             assert np.isnan(family.pgf_sf(theta, np.array([np.nan, 0.5]))[0])
     # theta = 1/n and s = v/n, far below the float spacing at 1: P_theta(1 - s) -> 1/(1 + v)
     v = np.array([0.5, 1.0, 2.0])
@@ -157,7 +158,7 @@ def test_theta_validation():
     with pytest.raises(ConfigurationError):
         MittagLeffler(1.5)
     with pytest.raises(DomainError):
-        CountScheme(Geometric(), 0.5).pgf(1.5)
+        scheme_pgf(CountScheme(Geometric(), 0.5), 1.5)
 
 
 def test_theta_below_the_smallest_normal_float_is_refused():
@@ -211,7 +212,7 @@ def test_sample_count_empirical_pgf():
         for s in (0.25, 0.5, 0.75):
             values = s ** draws.astype(float)
             se = values.std() / math.sqrt(values.size)
-            gap = abs(values.mean() - scheme.pgf(s))
+            gap = abs(values.mean() - scheme_pgf(scheme, s))
             assert gap < max(3.0 * se, 1e-4), (family.name, s)
             assert gap < 0.01
 
