@@ -5,7 +5,8 @@ Weibull), each its type up to an affine norming, bivariate dependence
 through closed-form exponent measures, Poisson-maximum distribution
 functions, and the three base laws of the convergence experiments.  Each base law G is its own attraction triple: it carries its
 normed law ``normed(n)``, that of (X - b_n)/a_n, and its max-stable
-``target`` H, and ``normed_base`` evaluates the normed survival on a grid.
+``target`` H, and ``normed_base`` evaluates the normed survival on the
+target's grid.
 
 A max-stable law H is represented through its exponent function
 V(x) = mu([l, x]^c), so H(x) = exp(-V(x)) and coordinates below the lower
@@ -31,17 +32,13 @@ LOGISTIC = "logistic"
 
 
 class _Marginal:
-    """A max-stable marginal H = exp(-v); ``cdf`` and ``ppf`` follow from ``v``/``vinv``.
+    """A max-stable marginal H = exp(-v); ``cdf`` follows from ``v``.
 
     Every ``v`` maps NaN to NaN, so a NaN argument never reads as a probability.
     """
 
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.exp(-self.v(z)))
-
-    def ppf(self, u):
-        with np.errstate(divide="ignore"):
-            return self.vinv(-np.log(u))
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class Frechet(_Marginal):
 
     alpha: float
 
-    lower = 0.0
     grid = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
     def __post_init__(self):
@@ -81,7 +77,6 @@ class Frechet(_Marginal):
 class Gumbel(_Marginal):
     """Standard Gumbel type: V(x) = exp(-x) on the whole line."""
 
-    lower = -np.inf
     grid = (-1.0, 0.0, 1.0, 2.0, 4.0)
 
     def v(self, x):
@@ -108,7 +103,6 @@ class ReverseWeibull(_Marginal):
 
     alpha: float
 
-    lower = -np.inf
     grid = (-4.0, -2.0, -1.0, -0.5, -0.25)
 
     def __post_init__(self):
@@ -203,12 +197,6 @@ class MaxStableLaw:
     def dim(self):
         return len(self.marginals)
 
-    @property
-    def lower(self):
-        if self.dim == 1:
-            return self.marginals[0].lower
-        return np.array([m.lower for m in self.marginals])
-
     def v(self, x):
         """Exponent function V(x); x has the coordinate axis last when dim >= 2."""
         if self.dim == 1:
@@ -251,32 +239,22 @@ def standard_points(law):
     raise ConfigurationError("standard grids are provided for dimensions 1 and 2 only")
 
 
-def _finite_exponent(law, pts, name, what):
-    """V of ``law`` (called ``name``) at ``pts``, the ``what`` grid; ``DomainError`` where not finite.
+def _finite_exponent(law, pts, name):
+    """V of ``law`` (called ``name``) at ``pts``; ``DomainError`` where it overflowed the floats.
 
-    A NaN grid point is refused by name, before V is read.  V is infinite
-    by definition at a point on or below the lower end of the support;
-    anywhere else an infinite V overflowed the floats.
+    Every shipped grid lies inside its law's support, where V is finite
+    unless it overflows.
     """
-    if np.any(np.isnan(pts)):
-        raise DomainError(f"{what} grid of the {name} holds a NaN point")
     with np.errstate(over="ignore"):  # an infinite V is refused below
         v = np.atleast_1d(law.v(pts))
     if not np.all(np.isfinite(v)):
-        if np.any(pts <= law.lower):
-            raise DomainError(f"{what} grid must lie inside the support of the {name}")
         raise _beyond_float_range(f"V of the {name} on its grid")
     return v
 
 
-def grid_exponent(law, what, grid=None):
-    """V of ``law`` on ``grid`` (``standard_points(law)`` when None), checked before any use.
-
-    A grid point outside the support raises ``DomainError`` naming the grid
-    by ``what``; a V that overflows on the grid raises the float-range one.
-    """
-    pts = standard_points(law) if grid is None else np.asarray(grid, dtype=float)
-    return _finite_exponent(law, pts, "base law", what)
+def grid_exponent(law):
+    """V of ``law`` on ``standard_points(law)``, checked before any use."""
+    return _finite_exponent(law, standard_points(law), "base law")
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +356,8 @@ class StdUniform:
 BASE_TYPES = (Pareto, UnitExponential, StdUniform)
 
 
-def normed_base(base, n, grid=None):
-    """``(S, V)`` on ``grid`` or the target's grid: S = 1 - G(a_n x + b_n) and V(x).
+def normed_base(base, n):
+    """``(S, V)`` on the target's grid: S = 1 - G(a_n x + b_n) and V(x).
 
     S is the survival of ``base.normed(n)``, so it keeps its digits where G
     rounds to 1; V is the exponent of the target H = exp(-V).  A V that is
@@ -391,8 +369,8 @@ def normed_base(base, n, grid=None):
         raise _beyond_float_range("n")
     if not isinstance(base, BASE_TYPES):
         raise ConfigurationError(f"unsupported base law: {base!r}")
-    pts = np.asarray(base.target.grid if grid is None else grid, dtype=float)
-    v = _finite_exponent(base.target, pts, f"{base.name} limit law", "limit")
+    pts = np.asarray(base.target.grid)
+    v = _finite_exponent(base.target, pts, f"{base.name} limit law")
     return np.atleast_1d(base.normed(n).sf(pts)), v
 
 
@@ -408,9 +386,9 @@ def cdf_gap(n, s, v):
     return float(np.abs(power - np.exp(-v)).max())
 
 
-def doa_gap(base, n, grid=None):
+def doa_gap(base, n):
     """Gaps (sup |n(1 - G(a_n x + b_n)) - V(x)|, sup |G^n(a_n x + b_n) - H(x)|) of ``base``."""
-    s, v = normed_base(base, n, grid)
+    s, v = normed_base(base, n)
     return tail_gap(n, s, v), cdf_gap(n, s, v)
 
 
@@ -438,10 +416,6 @@ class PoissonMax:
     def __post_init__(self):
         if self.rate <= 0.0:
             raise DomainError(f"Poisson rate must be positive, got {self.rate}")
-
-    @property
-    def dim(self):
-        return 1
 
     def v(self, x):
         g = self.base.cdf(x)

@@ -52,13 +52,6 @@ class PathColumns(NamedTuple):
         """The path of each entry of ``times`` and ``states``."""
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
-    def final_states(self):
-        """State of each path at the horizon; the floor marks an unresolved (no-jump) path."""
-        finals = np.full(len(self.counts), self.floor)
-        jumped = self.counts > 0
-        finals[jumped] = self.states[np.cumsum(self.counts)[jumped] - 1]
-        return finals
-
 
 def default_floor(marginal, horizon):
     """Floor at the ``FLOOR_MASS`` quantile of Y(t0) with t0 = horizon/1000.

@@ -83,10 +83,6 @@ class LaplaceFamily:
 
         return _apply(s, eval_pgf)
 
-    def count_mean(self, theta):
-        """Mean of N_theta."""
-        raise NotImplementedError
-
     def index(self, n):
         """The count index theta_n of a base with G^n(a_n x + b_n) -> exp(-V(x)).
 
@@ -132,13 +128,7 @@ class Geometric(LaplaceFamily):
     name = "geometric"
 
     def lt(self, s):
-        def f(arr):
-            with np.errstate(invalid="ignore"):
-                out = 1.0 / (1.0 + arr)
-            out[np.isposinf(arr)] = 0.0
-            return out
-
-        return _transform(s, f)
+        return _transform(s, lambda arr: 1.0 / (1.0 + arr))
 
     def lt_sf(self, s):
         def f(arr):
@@ -159,18 +149,13 @@ class Geometric(LaplaceFamily):
                 f"geometric family requires theta in (0, 1), got {theta}"
             )
 
-    def count_mean(self, theta):
-        self.validate_theta(theta)
-        return 1.0 / theta
-
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
         return _geometric_counts(theta, rng, size)
 
     def sample_mixer(self, rng, size):
-        # unit-mean exponential by inversion
-        u = rng.random(size)
-        return -np.log1p(-u)
+        # unit-mean exponential by inversion; U = 0 would be no positive time
+        return -np.log1p(-open_uniform(rng, size))
 
     def mixer_cdf(self, x):
         return _apply(x, lambda arr: np.where(arr > 0.0, -np.expm1(-arr), 0.0))
@@ -192,13 +177,7 @@ class MittagLeffler(LaplaceFamily):
         return f"mittag-leffler({self.nu:g})"
 
     def lt(self, s):
-        def f(arr):
-            with np.errstate(invalid="ignore"):
-                out = 1.0 / (1.0 + arr**self.nu)
-            out[np.isposinf(arr)] = 0.0
-            return out
-
-        return _transform(s, f)
+        return _transform(s, lambda arr: 1.0 / (1.0 + arr**self.nu))
 
     def lt_sf(self, s):
         def f(arr):
@@ -218,10 +197,6 @@ class MittagLeffler(LaplaceFamily):
             raise ConfigurationError(
                 f"Mittag-Leffler family requires theta in (0, 1), got {theta}"
             )
-
-    def count_mean(self, theta):
-        self.validate_theta(theta)
-        return theta**-self.nu
 
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
@@ -276,15 +251,9 @@ class Degenerate(LaplaceFamily):
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
             )
 
-    def count_value(self, theta):
-        self.validate_theta(theta)
-        return int(round(1.0 / theta))
-
-    def count_mean(self, theta):
-        return float(self.count_value(theta))
-
     def sample_count(self, theta, rng, size):
-        n = self.count_value(theta)
+        self.validate_theta(theta)
+        n = int(round(1.0 / theta))
         if n >= 2**63:
             raise DomainError(f"degenerate count 1/theta = {n:.6g} exceeds the int64 range")
         return np.full(size, n, dtype=np.int64)
@@ -325,19 +294,23 @@ def _geometric_counts(p, rng, size):
 def sample_positive_stable(nu, rng, size):
     """Draw a positive nu-stable variable with Laplace transform exp(-s^nu).
 
-    Kanter's construction: with W uniform on (0, pi) and E a unit
-    exponential, ``(a(W)/E)^((1-nu)/nu)`` where
-    ``a(w) = (sin(nu w)^nu sin((1-nu) w)^(1-nu) / sin(w))^(1/(1-nu))``.
+    Kanter's construction (Kanter 1975; Chambers, Mallows and Stuck 1976):
+    with W uniform on (0, pi) and E a unit exponential,
+    ``sin(nu W) / sin(W)^(1/nu) * (sin((1-nu) W) / E)^((1-nu)/nu)``.  This
+    product form equals ``(a(W)/E)^((1-nu)/nu)`` with
+    ``a(w) = (sin(nu w)^nu sin((1-nu) w)^(1-nu) / sin(w))^(1/(1-nu))``, but
+    forms no ``a(W)``, which overflows for nu near 1.
     """
     if not 0.0 < nu < 1.0:
         raise ConfigurationError(f"stable order must be in (0, 1), got {nu}")
     w = np.pi * open_uniform(rng, size)  # W = 0 would give sin(0)/sin(0)
     e = rng.exponential(size=size)
-    a = (
-        np.sin(nu * w) ** nu * np.sin((1.0 - nu) * w) ** (1.0 - nu) / np.sin(w)
-    ) ** (1.0 / (1.0 - nu))
-    with np.errstate(over="ignore"):  # refused below
-        return _in_floats((a / e) ** ((1.0 - nu) / nu), f"positive {nu:g}-stable draw")
+    # an overflow, a division by 0 and inf * 0 leave the floats, and are refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        draws = np.sin(nu * w) / np.sin(w) ** (1.0 / nu) * (
+            np.sin((1.0 - nu) * w) / e
+        ) ** ((1.0 - nu) / nu)
+    return _in_floats(draws, f"positive {nu:g}-stable draw")
 
 
 def _in_floats(draws, what):
@@ -359,10 +332,6 @@ class CountScheme:
 
     def __post_init__(self):
         self.family.validate_theta(self.theta)
-
-    @property
-    def mean(self):
-        return self.family.count_mean(self.theta)
 
     def sample(self, rng, size):
         return self.family.sample_count(self.theta, rng, size)

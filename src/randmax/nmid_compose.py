@@ -34,10 +34,6 @@ class NMaxStableLaw:
                 f"base must be max-stable or a Poisson maximum, got {type(self.base).__name__}"
             )
 
-    @property
-    def dim(self):
-        return self.base.dim
-
     def v(self, x):
         return self.base.v(x)
 
@@ -119,18 +115,18 @@ def sample_random_max_seeded(scheme, base, seed, n, threads=1):
     return chunked_draws(seed, n, lambda rng, m: sample_random_max(scheme, base, rng, m))
 
 
-def same_type_decompose(law, theta, grid=None):
+def same_type_decompose(law, theta):
     """Split F into P_theta(F_theta) with F_theta(x) = phi(theta * V(x)).
 
     Returns ``(residual, norming)``: the sup residual |F(x) - P_theta(F_theta(x))|
-    over the grid, and per coordinate the pair (scale, shift) with
+    over ``standard_points`` of the base, and per coordinate the pair (scale, shift) with
     X_theta = scale * X + shift, which carries F_theta back to the type of F
     (for a Frechet(alpha) base the scale factor is theta^(1/alpha)).
     """
     law.family.validate_theta(theta)
     if not isinstance(law.base, MaxStableLaw):
         raise ConfigurationError("the same-type decomposition needs a max-stable base")
-    v = grid_exponent(law.base, "decomposition", grid)
+    v = grid_exponent(law.base)
     # P_theta(F_theta) in survival space, where 1 - F_theta = 1 - phi(theta V) keeps its digits
     f_theta_sf = law.family.lt_sf(theta * v)
     residual = float(np.abs(law.family.lt(v) - law.family.pgf_sf(theta, f_theta_sf)).max())

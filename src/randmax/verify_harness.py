@@ -386,7 +386,7 @@ def run_thm32(family, law, n, seed):
     """
     if not isinstance(law, MaxStableLaw):
         raise ConfigurationError("subordination requires a max-stable base")
-    grid_exponent(law, "subordination")
+    grid_exponent(law)
 
     def draw(rng, m):
         z = family.sample_mixer(rng, m)

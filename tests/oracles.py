@@ -5,14 +5,23 @@ inversion (``isf``), evaluates laws through ``v``/``cdf`` and writes
 tables through ``Table.csv_blocks``.  The functions here are the direct
 forms those replace: the p.g.f. at ``u`` rather than at the survival
 ``1 - u``, base draws by quantile inversion and the slow max-of-N
-construction, the extremal marginal ``exp(-t V)``, a law's max-stability
-norming, and the CSV text in one string.  Tests compare the library
-against them.
+construction, a marginal's quantile ``vinv(-log u)``, the mean of a count,
+the extremal marginal ``exp(-t V)`` and each path's state at the horizon,
+a law's max-stability norming, and the CSV text in one string.  Tests
+compare the library against them.
 """
 
 import numpy as np
 
-from randmax import DomainError, Pareto, StdUniform, UnitExponential
+from randmax import (
+    Degenerate,
+    DomainError,
+    Geometric,
+    MittagLeffler,
+    Pareto,
+    StdUniform,
+    UnitExponential,
+)
 from randmax._util import apply_scalar
 
 
@@ -26,6 +35,19 @@ def scheme_pgf(scheme, u):
     return pgf(scheme.family, scheme.theta, u)
 
 
+_COUNT_MEAN = {
+    Geometric: lambda family, theta: 1.0 / theta,
+    MittagLeffler: lambda family, theta: theta**-family.nu,
+    Degenerate: lambda family, theta: float(int(round(1.0 / theta))),
+}
+
+
+def count_mean(family, theta):
+    """The mean of N_theta of ``family``."""
+    family.validate_theta(theta)
+    return _COUNT_MEAN[type(family)](family, theta)
+
+
 _PPF = {
     Pareto: lambda base, u: base.isf(1.0 - np.asarray(u, dtype=float)),
     UnitExponential: lambda base, u: apply_scalar(u, lambda u: -np.log1p(-u)),
@@ -36,6 +58,12 @@ _PPF = {
 def ppf(base, u):
     """The quantile G^{-1}(u) of a base law."""
     return _PPF[type(base)](base, u)
+
+
+def marginal_ppf(marginal, u):
+    """The quantile H^{-1}(u) = vinv(-log u) of a max-stable marginal."""
+    with np.errstate(divide="ignore"):
+        return marginal.vinv(-np.log(u))
 
 
 def sample_base(base, rng, size):
@@ -53,6 +81,14 @@ def marginal_cdf(law, t, x):
         raise DomainError(f"time must be positive, got {t}")
     v = law.v(x)
     return float(np.exp(-t * v)) if np.isscalar(v) else np.exp(-t * v)
+
+
+def final_states(paths):
+    """Each path's state at the horizon; the floor marks an unresolved (no-jump) path."""
+    finals = np.full(len(paths.counts), paths.floor)
+    jumped = paths.counts > 0
+    finals[jumped] = paths.states[np.cumsum(paths.counts)[jumped] - 1]
+    return finals
 
 
 def norming(law, t):

@@ -474,6 +474,27 @@ def test_bad_env_seed_exits_two(tmp_path, capsys, monkeypatch, value):
     assert not (out / "count.csv").exists()
 
 
+def test_out_naming_a_file_exits_one(tmp_path, capsys):
+    # the output directory cannot be made where a regular file stands
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    code = main(["sample", "count", "--theta", "0.5", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "keep\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_mittag_leffler_subordination_near_order_one_passes(tmp_path, monkeypatch):
+    # at nu = 0.99 some draws' Kanter factor a(W) = r^(1/(1-nu)) lies beyond the floats, though
+    # the draw does not
+    monkeypatch.setenv("RANDMAX_SEED", "0")
+    code, out = run(["verify", "thm32", "--family", "mittag-leffler", "--nu", "0.99"], tmp_path)
+    assert code == 0
+    assert "result: PASS" in (out / "thm32_summary.txt").read_text()
+
+
 def test_out_of_range_seed_flag_exits_two_without_randomness(tmp_path, capsys):
     # the seed is checked even where no random draw would read it
     code, _ = run(["verify", "poincare", "--seed", "-1"], tmp_path)
@@ -568,6 +589,7 @@ V_BASE = "V of the base law on its grid beyond the float range"
     (["verify", "thm24", "--triple", "pareto:600"], V600),
     (["verify", "definetti", "--triple", "pareto:600", "--family", "mittag-leffler", "--nu", "0.5"],
      V600),
+    (["verify", "lemma12", "--family", "mittag-leffler"], "requires --nu in (0, 1)"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -22,14 +22,14 @@ from randmax import (
     ks_distance,
     run_definetti,
     run_thm24,
-    same_type_decompose,
     standard_points,
     standard_triple,
     substream,
     univariate,
 )
+from randmax import evd_core
 from randmax._csvtext import format_value
-from oracles import norming, ppf, sample_base
+from oracles import marginal_ppf, norming, ppf, sample_base
 
 MARGINALS = [Frechet(1.0), Frechet(2.0), Gumbel(), ReverseWeibull(1.0), ReverseWeibull(2.0)]
 BASES = [Pareto(1.0), UnitExponential(), StdUniform()]
@@ -60,7 +60,6 @@ def test_ms_cdf_logistic_example():
 def test_exponent_measure_closed_forms():
     law = univariate(Frechet(1.0))
     assert law.v(2.0) == pytest.approx(0.5, abs=1e-15)
-    assert law.lower == 0.0
     assert univariate(Gumbel()).v(0.0) == 1.0
     assert univariate(ReverseWeibull(2.0)).v(-2.0) == 4.0
     assert univariate(ReverseWeibull(2.0)).v(1.0) == 0.0
@@ -137,6 +136,27 @@ def test_law_validation():
                 make(bad)
 
 
+THREE_FRECHET = (Frechet(1.0),) * 3
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MaxStableLaw(()), ConfigurationError, "at least one marginal is required"),
+    (lambda: MaxStableLaw((Pareto(1.0),)), ConfigurationError, "unsupported marginal type"),
+    (lambda: MaxStableLaw(THREE_FRECHET, dependence="logistic", r=0.5), ConfigurationError,
+     "logistic dependence is bivariate only"),
+    (lambda: bivariate("independence").v((1.0, 2.0, 3.0)), DomainError,
+     r"expected points with last axis of length 2, got shape \(3,\)"),
+    (lambda: standard_points(MaxStableLaw(THREE_FRECHET)), ConfigurationError,
+     "standard grids are provided for dimensions 1 and 2 only"),
+    (lambda: evd_core.normed_base(Frechet(1.0), 10), ConfigurationError, "unsupported base law"),
+    (lambda: doa_gap(Frechet(1.0), 10), ConfigurationError, "unsupported base law"),
+], ids=["no-marginal", "non-marginal", "logistic-3d", "v-axis", "points-3d", "normed-base",
+        "doa-gap"])
+def test_law_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Poisson maxima
 # ---------------------------------------------------------------------------
@@ -166,7 +186,9 @@ def test_poisson_max_approaches_frechet():
 
 def test_doa_gap_pareto_hand_value():
     triple = standard_triple("pareto", 1.0)
-    tail_gap, cdf_gap = doa_gap(triple, 100, grid=[1.0])
+    points = np.array([1.0])
+    s, v = triple.normed(100).sf(points), triple.target.v(points)
+    tail_gap, cdf_gap = evd_core.tail_gap(100, s, v), evd_core.cdf_gap(100, s, v)
     expected = abs(0.99**100 - math.exp(-1.0))  # direct arithmetic
     assert cdf_gap == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.0019, abs=2e-4)
@@ -210,18 +232,11 @@ def test_normed_law_matches_the_raw_normed_form(base, norming, raw_sf, n):
     assert math.isnan(law.sf(math.nan))
 
 
-def test_nan_grid_point_is_refused_by_name():
-    # a NaN V is no overflow: the point is refused before V is read
-    with pytest.raises(DomainError, match=r"limit grid of the pareto\(1\) limit law holds a NaN"):
-        doa_gap(Pareto(1.0), 10, grid=[math.nan])
-    law = NMaxStableLaw(Geometric(), univariate(Frechet(1.0)))
-    with pytest.raises(DomainError, match="decomposition grid of the base law holds a NaN point"):
-        same_type_decompose(law, 0.5, grid=[math.nan])
-
-
 def test_doa_gap_exponential_grid():
     triple = standard_triple("exponential")
-    tail_gap, cdf_gap = doa_gap(triple, 10_000, grid=np.linspace(-1.0, 5.0, 61))
+    points = np.linspace(-1.0, 5.0, 61)
+    s, v = triple.normed(10_000).sf(points), triple.target.v(points)
+    tail_gap, cdf_gap = evd_core.tail_gap(10_000, s, v), evd_core.cdf_gap(10_000, s, v)
     assert tail_gap < 1e-3
     assert cdf_gap < 1e-3
 
@@ -278,7 +293,7 @@ def test_sample_base_product():
 def test_marginal_ppf_round_trip():
     u = np.linspace(0.01, 0.99, 50)
     for marginal in MARGINALS:
-        assert np.abs(marginal.cdf(marginal.ppf(u)) - u).max() < 1e-12
+        assert np.abs(marginal.cdf(marginal_ppf(marginal, u)) - u).max() < 1e-12
     for base in BASES:
         assert np.abs(base.cdf(ppf(base, u)) - u).max() < 1e-12
 

@@ -27,7 +27,7 @@ from randmax import (
 )
 from randmax.extremal_proc import _path_marginal
 from randmax.streams import CHUNK_PATHS, GROUP_CHUNKS, open_uniform
-from oracles import marginal_cdf
+from oracles import final_states, marginal_cdf
 
 FRECHET1 = univariate(Frechet(1.0))
 
@@ -96,13 +96,13 @@ def test_path_rejects_unsupported():
 
 
 def test_path_terminal_probability_horizon_ten():
-    finals = simulate_path_columns(FRECHET1, 10.0, 10_000, seed=42, floor=0.01).final_states()
+    finals = final_states(simulate_path_columns(FRECHET1, 10.0, 10_000, seed=42, floor=0.01))
     assert abs((finals <= 10.0).mean() - math.exp(-1.0)) < 0.015
 
 
 def test_path_terminal_marginal_ks():
     horizon = 1.0
-    finals = np.sort(simulate_path_columns(FRECHET1, horizon, 10_000, seed=43).final_states())
+    finals = np.sort(final_states(simulate_path_columns(FRECHET1, horizon, 10_000, seed=43)))
     distance = ks_distance(finals, lambda x: marginal_cdf(FRECHET1, horizon, x))
     assert distance < ks_critical(10_000)
 
@@ -128,7 +128,7 @@ def test_other_marginal_paths(marginal):
     assert np.all(np.diff(paths.times)[same_path] > 0.0)
     assert np.all(paths.states > paths.floor)
     assert np.all((paths.times > 0.0) & (paths.times <= horizon))
-    finals = np.sort(paths.final_states())
+    finals = np.sort(final_states(paths))
     distance = ks_distance(finals, lambda x: marginal_cdf(law, horizon, x))
     assert distance < ks_critical(10_000)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from randmax import (
     CountScheme,
     Degenerate,
     DomainError,
+    Frechet,
     Geometric,
     MittagLeffler,
     run_lemma12,
     sample_positive_stable,
+    sample_Y_at_time,
     substream,
+    univariate,
 )
-from oracles import pgf, scheme_pgf
+from oracles import count_mean, pgf, scheme_pgf
 
 FAMILIES = [Geometric(), MittagLeffler(0.5), Degenerate()]
 THETA_GRID = (0.5, 0.1, 0.01)
@@ -177,16 +181,16 @@ def test_index_and_limit_exponent():
     # theta_n = index(n) gives E N = n; phi(limit_exponent(v)) is the geometric 1/(1 + v)
     v = np.array([0.0, 0.1, 1.0, 10.0, np.inf])
     for family in FAMILIES:
-        assert family.count_mean(family.index(1_000)) == pytest.approx(1_000.0)
+        assert count_mean(family, family.index(1_000)) == pytest.approx(1_000.0)
     for family in (Geometric(), MittagLeffler(0.3), MittagLeffler(0.5)):
         assert np.abs(family.lt(family.limit_exponent(v)) - Geometric().lt(v)).max() < 1e-15
     assert np.array_equal(Degenerate().limit_exponent(v), v)
 
 
 def test_count_means():
-    assert CountScheme(Geometric(), 0.25).mean == 4.0
-    assert CountScheme(MittagLeffler(0.5), 0.25).mean == pytest.approx(2.0)
-    assert CountScheme(Degenerate(), 0.1).mean == 10.0
+    assert count_mean(Geometric(), 0.25) == 4.0
+    assert count_mean(MittagLeffler(0.5), 0.25) == pytest.approx(2.0)
+    assert count_mean(Degenerate(), 0.1) == 10.0
 
 
 def test_sample_count_degenerate():
@@ -255,6 +259,21 @@ def test_positive_stable_transform():
         sample_positive_stable(1.2, substream(9), 10)
 
 
+def test_positive_stable_near_order_one():
+    # Kanter's a(W) = r^(1/(1-nu)) leaves the floats for nu near 1, though the draw
+    # a(W)^((1-nu)/nu) does not
+    n = 200_000
+    for nu in (0.99, 0.999):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_positive_stable(nu, substream(10), n)
+        assert np.all(np.isfinite(draws)), nu
+        for s in (0.5, 1.0, 2.0):
+            values = np.exp(-s * draws)
+            se = values.std() / math.sqrt(n)
+            assert abs(values.mean() - math.exp(-(s**nu))) < 4.0 * se, (nu, s)
+
+
 def test_mixer_draws_beyond_the_float_range_are_refused():
     # E^(1/nu) * S at nu = 1e-16 is inf * 0 or 0 * inf; S itself leaves the floats at nu = 0.01
     with pytest.raises(DomainError, match="float range"):
@@ -268,7 +287,8 @@ def test_mixer_draws_beyond_the_float_range_are_refused():
 
 
 class ZeroUniforms(np.random.Generator):
-    """A generator whose uniforms are all 0.0, the one value Kanter's W must avoid."""
+    """A generator whose uniforms are all 0.0, the one value Kanter's W and the geometric mixer's
+    uniform must avoid."""
 
     def random(self, size=None):
         return np.zeros(size) if size is not None else 0.0
@@ -279,6 +299,13 @@ def test_positive_stable_at_zero_uniform_is_finite():
     for nu in (0.3, 0.5, 0.7):
         assert np.isfinite(sample_positive_stable(nu, rng, 1)).all()
         assert np.all(np.isfinite(sample_positive_stable(nu, rng, 4)))
+
+
+def test_geometric_mixer_at_zero_uniform_is_a_positive_time():
+    # -log1p(-u) at u = 0 is the time 0, which Y(t) refuses
+    z = Geometric().sample_mixer(ZeroUniforms(np.random.PCG64(9)), 4)
+    assert np.all(z > 0.0)
+    assert np.all(sample_Y_at_time(univariate(Frechet(1.0)), z, substream(0), 4) > 0.0)
 
 
 def test_mixer_cdf_and_unsupported():

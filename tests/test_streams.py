@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from randmax import CountScheme, Geometric, Pareto, UnitExponential, chunked_draws, substream
+from randmax import (
+    ConfigurationError,
+    CountScheme,
+    Geometric,
+    Pareto,
+    UnitExponential,
+    chunked_draws,
+    substream,
+)
 from randmax.nmid_compose import sample_random_max
 from randmax.streams import CHUNK_DRAWS
 
@@ -22,3 +30,8 @@ def test_chunks_fill_one_output_in_place(draw, chunks):
     got = chunked_draws(5, n, draw)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def test_negative_substream_index_is_refused():
+    with pytest.raises(ConfigurationError, match="substream index must be nonnegative, got -1"):
+        substream(5, -1)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from randmax import (
+    ConfigurationError,
     Degenerate,
     DomainError,
     Geometric,
     MittagLeffler,
+    NMaxStableLaw,
     Pareto,
     PoissonMax,
     Table,
@@ -28,7 +30,7 @@ from randmax import (
     substream,
     univariate,
 )
-from randmax.evd_core import Frechet, cdf_gap, normed_base
+from randmax.evd_core import Frechet, cdf_gap
 from randmax.verify_harness import (
     BLOCK_VALUES,
     CSV_BLOCK_ROWS,
@@ -260,7 +262,7 @@ def test_run_thm24_grid_refinement_stability():
     refined = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
 
     def gaps(n, points):
-        s, v = normed_base(PARETO1, n, points)
+        s, v = PARETO1.normed(n).sf(points), PARETO1.target.v(points)
         limit = GEOMETRIC.lt(GEOMETRIC.limit_exponent(v))
         return cdf_gap(n, s, v), float(np.abs(GEOMETRIC.pgf_sf(GEOMETRIC.index(n), s) - limit).max())
 
@@ -282,6 +284,12 @@ def test_run_lemma12_report():
     assert dict(report.stats)["distance"] < 0.01
     report = run_lemma12(GEOMETRIC, 0.5, 100_000, seed=64)
     assert not report.passed
+
+
+def test_run_thm32_refuses_a_composed_law():
+    law = NMaxStableLaw(GEOMETRIC, univariate(Frechet(1.0)))
+    with pytest.raises(ConfigurationError, match="subordination requires a max-stable base"):
+        run_thm32(GEOMETRIC, law, 100, seed=1)
 
 
 def test_run_thm32_report():
