@@ -8,8 +8,8 @@ marginal type: the process first exceeds the floor at an exponential time
 with rate V0 = V(y0); from the level V_k it holds for an exponential time
 with rate V_k and jumps to V_{k+1} = V_k U_k with U_k uniform on (0, 1),
 since P(W <= w | W > y) = 1 - V(w)/V(y).  So t_{k+1} = t_k + E_k / V_k,
-and the states are the levels mapped back through ``vinv``.  All paths of
-a group of substream chunks advance together, one jump index at a time.
+and the states are the levels mapped back through ``vinv``.  The paths of
+one substream chunk advance together, one jump index at a time.
 
 Evaluating the process at an independent random time Z drawn from the
 mixer (the variable whose Laplace transform is phi) reproduces the
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, MaxStableLaw
-from .streams import chunked_list
+from .streams import chunked_list, open_exponential, open_uniform
 
 _TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 FLOOR_MASS = 1e-3  # the default floor is this quantile of Y(horizon/1000)
@@ -97,39 +97,28 @@ def _states(marginal, levels, message):
     return states
 
 
-def _jump_chain(marginal, v0, horizon, rngs, sizes):
-    """Jump counts, then flat jump times and states, of paths started at level ``v0``.
+def _jump_chain(marginal, v0, horizon, rng, n):
+    """Jump counts, then flat jump times and states, of ``n`` paths started at level ``v0``.
 
-    ``sizes[j]`` paths read generator ``rngs[j]``: first the exponentials of
-    their first jump times, then at each jump index a block of uniforms for
-    the levels and a block of exponentials for the next jump times of those
-    still below the horizon.  The arithmetic of a jump index runs once on
-    the paths of every generator; each path's jumps are then placed at the
-    offset its count gives, and the levels are mapped to states once.
+    The paths read ``rng``: first the exponentials of their first jump
+    times, then at each jump index a block of uniforms for the levels and a
+    block of exponentials for the next jump times of those still below the
+    horizon.  The arithmetic of a jump index runs once on all ``n`` paths;
+    each path's jumps are then placed at the offset its count gives, and the
+    levels are mapped to states once.
     """
-    bounds = np.cumsum([0, *sizes])
-    n = int(bounds[-1])
-    t = np.empty(n)
-    for rng, a, b in zip(rngs, bounds[:-1], bounds[1:]):
-        rng.standard_exponential(out=t[a:b])  # the bits of rng.exponential(size=b - a)
     # an overflowing time lies past the horizon; an overflowing state is caught by _states
     with np.errstate(over="ignore", divide="ignore"):
-        ids, t, v = np.arange(n), t / v0, np.full(n, v0)
+        ids, t, v = np.arange(n), open_exponential(rng, n) / v0, np.full(n, v0)
         jumps = [(ids[:0], t[:0], v[:0])]
         while True:
             alive = t <= horizon
             ids, t, v = ids[alive], t[alive], v[alive]
             if not ids.size:
                 break
-            u, e = np.empty(ids.size), np.empty(ids.size)
-            cuts = np.searchsorted(ids, bounds).tolist()
-            for rng, a, b in zip(rngs, cuts[:-1], cuts[1:]):
-                if a < b:
-                    rng.random(out=u[a:b])
-                    rng.standard_exponential(out=e[a:b])
-            v = v * np.maximum(u, 2.0**-54)  # open_uniform: a uniform 0 moves to 2^-54
+            v = v * open_uniform(rng, ids.size)
             jumps.append((ids, t, v))
-            t = t + e / v
+            t = t + open_exponential(rng, ids.size) / v
         ids, t, v = (np.concatenate(c) for c in zip(*jumps))
         counts = np.bincount(ids, minlength=n)
         # jump k of path i goes k places after the path's first slot; jumps[0] is empty
@@ -148,17 +137,15 @@ def simulate_path(law, horizon, rng, floor=None):
     mapped back to a state through ``vinv``.  The one path comes as ``PathColumns``.
     """
     m, y0, v0 = _path_marginal(law, horizon, floor)
-    counts, times, states = _jump_chain(m, v0, horizon, [rng], [1])
+    counts, times, states = _jump_chain(m, v0, horizon, rng, 1)
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
 def simulate_path_columns(law, horizon, n_paths, seed, floor=None):
-    """``n_paths`` independent paths as ``PathColumns``, a run of substream chunks at a time."""
+    """``n_paths`` independent paths as ``PathColumns``, a substream chunk at a time."""
     m, y0, v0 = _path_marginal(law, horizon, floor)
-    groups = chunked_list(
-        seed, n_paths, lambda rngs, sizes: _jump_chain(m, v0, horizon, rngs, sizes)
-    )
-    counts, times, states = (np.concatenate(c) for c in zip(*groups))
+    chunks = chunked_list(seed, n_paths, lambda rng, n: _jump_chain(m, v0, horizon, rng, n))
+    counts, times, states = (np.concatenate(c) for c in zip(*chunks))
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
@@ -178,9 +165,9 @@ def sample_Y_at_time(law, t, rng, size):
             "the logistic model ships with CDF evaluation, not a sampler"
         )
     if law.dim == 1 or law.dependence == COMPLETE_DEPENDENCE:
-        draws = [rng.exponential(size=size)] * law.dim
+        draws = [open_exponential(rng, size)] * law.dim
     else:
-        draws = list(rng.exponential(size=(size, law.dim)).T)
+        draws = list(open_exponential(rng, (size, law.dim)).T)
     with np.errstate(over="ignore", divide="ignore"):
         cols = [_states(m, e / t, _Y_RANGE) for m, e in zip(law.marginals, draws)]
     return cols[0] if law.dim == 1 else np.column_stack(cols)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
-from .streams import open_uniform
+from .streams import open_exponential, open_uniform
 
 _TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 
@@ -123,58 +123,14 @@ class LaplaceFamily:
 
 
 class Geometric(LaplaceFamily):
-    """phi(s) = 1/(1+s); N_theta is geometric on {1,2,...} with success theta."""
+    """phi(s) = 1/(1+s^nu) at nu = 1; N_theta is geometric on {1,2,...} with success theta^nu.
+
+    ``MittagLeffler`` inherits these forms; at nu = 1 they are exact, as x**1.0 == x.
+    """
 
     name = "geometric"
-
-    def lt(self, s):
-        return _transform(s, lambda arr: 1.0 / (1.0 + arr))
-
-    def lt_sf(self, s):
-        def f(arr):
-            with np.errstate(invalid="ignore"):
-                out = arr / (1.0 + arr)
-            out[np.isposinf(arr)] = 1.0
-            return out
-
-        return _transform(s, f)
-
-    def lt_inv_sf(self, s):
-        return _apply(s, lambda arr: arr / (1.0 - arr))
-
-    def validate_theta(self, theta):
-        super().validate_theta(theta)
-        if not 0.0 < theta < 1.0:
-            raise ConfigurationError(
-                f"geometric family requires theta in (0, 1), got {theta}"
-            )
-
-    def sample_count(self, theta, rng, size):
-        self.validate_theta(theta)
-        return _geometric_counts(theta, rng, size)
-
-    def sample_mixer(self, rng, size):
-        # unit-mean exponential by inversion; U = 0 would be no positive time
-        return -np.log1p(-open_uniform(rng, size))
-
-    def mixer_cdf(self, x):
-        return _apply(x, lambda arr: np.where(arr > 0.0, -np.expm1(-arr), 0.0))
-
-    def mixer_density(self, t):
-        return _apply(t, lambda arr: np.where(arr >= 0.0, np.exp(-arr), 0.0))
-
-
-class MittagLeffler(LaplaceFamily):
-    """phi(s) = 1/(1+s^nu), 0 < nu < 1; N_theta is geometric with success theta^nu."""
-
-    def __init__(self, nu):
-        if not 0.0 < nu < 1.0:
-            raise ConfigurationError(f"Mittag-Leffler order must be in (0, 1), got {nu}")
-        self.nu = float(nu)
-
-    @property
-    def name(self):
-        return f"mittag-leffler({self.nu:g})"
+    title = "geometric"  # the family as its refusals name it
+    nu = 1.0
 
     def lt(self, s):
         return _transform(s, lambda arr: 1.0 / (1.0 + arr**self.nu))
@@ -195,12 +151,39 @@ class MittagLeffler(LaplaceFamily):
         super().validate_theta(theta)
         if not 0.0 < theta < 1.0:
             raise ConfigurationError(
-                f"Mittag-Leffler family requires theta in (0, 1), got {theta}"
+                f"{self.title} family requires theta in (0, 1), got {theta}"
             )
 
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
         return _geometric_counts(theta**self.nu, rng, size)
+
+    def sample_mixer(self, rng, size):
+        # unit-mean exponential by inversion; U = 0 would be no positive time
+        return -np.log1p(-open_uniform(rng, size))
+
+    def mixer_cdf(self, x):
+        return _apply(x, lambda arr: np.where(arr > 0.0, -np.expm1(-arr), 0.0))
+
+    def mixer_density(self, t):
+        return _apply(t, lambda arr: np.where(arr >= 0.0, np.exp(-arr), 0.0))
+
+
+class MittagLeffler(Geometric):
+    """phi(s) = 1/(1+s^nu), 0 < nu < 1; N_theta is geometric with success theta^nu."""
+
+    title = "Mittag-Leffler"
+    mixer_cdf = LaplaceFamily.mixer_cdf
+    mixer_density = LaplaceFamily.mixer_density
+
+    def __init__(self, nu):
+        if not 0.0 < nu < 1.0:
+            raise ConfigurationError(f"Mittag-Leffler order must be in (0, 1), got {nu}")
+        self.nu = float(nu)
+
+    @property
+    def name(self):
+        return f"mittag-leffler({self.nu:g})"
 
     def index(self, n):
         # N_theta is geometric with success theta^nu, so n theta^nu = 1 balances 1 - G ~ V/n
@@ -216,7 +199,7 @@ class MittagLeffler(LaplaceFamily):
     def sample_mixer(self, rng, size):
         # U = E^{1/nu} * S_nu mixes a unit exponential with a positive
         # nu-stable factor; its Laplace transform is 1/(1+s^nu).
-        e = rng.exponential(size=size)
+        e = open_exponential(rng, size)
         stable = sample_positive_stable(self.nu, rng, size)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             return _in_floats(np.power(e, 1.0 / self.nu) * stable, "Mittag-Leffler mixer draw")
@@ -304,7 +287,7 @@ def sample_positive_stable(nu, rng, size):
     if not 0.0 < nu < 1.0:
         raise ConfigurationError(f"stable order must be in (0, 1), got {nu}")
     w = np.pi * open_uniform(rng, size)  # W = 0 would give sin(0)/sin(0)
-    e = rng.exponential(size=size)
+    e = open_exponential(rng, size)
     # an overflow, a division by 0 and inf * 0 leave the floats, and are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         draws = np.sin(nu * w) / np.sin(w) ** (1.0 / nu) * (

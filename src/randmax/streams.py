@@ -3,24 +3,23 @@
 Every randomized operation in the package is driven by a 64-bit seed.
 Monte Carlo work splits the seed into independent substreams with a
 counter-based rule: chunk ``i`` of a run keyed by ``seed`` uses a Philox
-generator whose 256-bit counter starts at ``i * 2**128``.  Chunk sizes are
-fixed constants, so the produced numbers depend only on the seed.  Every
-chunk runs on the calling thread, in order.
+generator whose 256-bit counter starts at ``i * 2**128``.  A chunk holds
+``CHUNK_DRAWS`` (10 000) draws or ``CHUNK_PATHS`` (1600) paths, so the
+produced numbers depend only on the seed.  Every chunk runs on the calling
+thread, in order.  Only this module builds generators, and only
+``open_exponential`` draws exponentials.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-# Fixed chunk sizes (draws per substream).  These are part of the
-# reproducibility contract: changing them changes the stream assignment.
+# Fixed chunk sizes (items per substream).  These are part of the
+# reproducibility contract: changing them changes the stream assignment.  A
+# path chunk spreads numpy's per-call cost of a jump index over many paths,
+# and keeps the chain's working arrays small beside its output.
 CHUNK_DRAWS = 10_000
-CHUNK_PATHS = 100
-# Path chunks go to a builder in runs of GROUP_CHUNKS, which the jump chain
-# advances together: enough to spread numpy's per-call cost over 1600 paths,
-# few enough that its working arrays stay small beside its output.  The
-# output does not depend on it.
-GROUP_CHUNKS = 16
+CHUNK_PATHS = 1600
 
 
 def check_seed(seed):
@@ -51,11 +50,22 @@ def open_uniform(rng, size):
     return np.maximum(rng.random(size), 2.0**-54)
 
 
-def _spans(n, chunk, what):
-    """``(substream index, start, length)`` of each fixed-size chunk of ``n`` items."""
+def open_exponential(rng, size):
+    """``size`` unit exponentials, all positive.
+
+    numpy's ziggurat returns 0 when its 53-bit integer is 0; that one value
+    moves to 2**-64, below the least nonzero draw (about 7e-18), and every
+    other draw is returned unchanged.
+    """
+    return np.maximum(rng.standard_exponential(size), 2.0**-64)
+
+
+def _chunks(seed, n, size, what):
+    """``(start, rng, m)`` of each chunk of ``size`` of ``n`` items; chunk ``i`` reads substream ``i``."""
     if n <= 0:
         raise ConfigurationError(f"{what} must be positive, got {n}")
-    return [(index, start, min(chunk, n - start)) for index, start in enumerate(range(0, n, chunk))]
+    for index, start in enumerate(range(0, n, size)):
+        yield start, substream(seed, index), min(size, n - start)
 
 
 def chunked_draws(seed, n, draw):
@@ -67,8 +77,8 @@ def chunked_draws(seed, n, draw):
     the output plus one chunk.
     """
     out = None
-    for index, start, m in _spans(n, CHUNK_DRAWS, "sample size"):
-        part = draw(substream(seed, index), m)
+    for start, rng, m in _chunks(seed, n, CHUNK_DRAWS, "sample size"):
+        part = draw(rng, m)
         if out is None:
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype, order="F")
         out[start:start + m] = part
@@ -76,15 +86,5 @@ def chunked_draws(seed, n, draw):
 
 
 def chunked_list(seed, n, build):
-    """``[build(rngs, sizes) for each run of GROUP_CHUNKS consecutive chunks]``, in order.
-
-    The ``n`` items are cut into chunks of ``CHUNK_PATHS`` as in ``chunked_draws``;
-    chunk ``j`` of a run holds ``sizes[j]`` items and reads ``rngs[j]``, its
-    own substream.
-    """
-    spans = _spans(n, CHUNK_PATHS, "count")
-    runs = [spans[start:start + GROUP_CHUNKS] for start in range(0, len(spans), GROUP_CHUNKS)]
-    return [
-        build([substream(seed, index) for index, _, _ in run], [m for _, _, m in run])
-        for run in runs
-    ]
+    """``[build(rng, m) for each chunk of CHUNK_PATHS]``, in order; the last chunk holds the rest."""
+    return [build(rng, m) for _, rng, m in _chunks(seed, n, CHUNK_PATHS, "count")]

@@ -26,7 +26,7 @@ from randmax import (
     univariate,
 )
 from randmax.extremal_proc import _path_marginal
-from randmax.streams import CHUNK_PATHS, GROUP_CHUNKS, open_uniform
+from randmax.streams import CHUNK_PATHS, open_uniform
 from oracles import final_states, marginal_cdf
 
 FRECHET1 = univariate(Frechet(1.0))
@@ -170,10 +170,11 @@ def reference_chain(marginal, v0, horizon, rng, n):
 @pytest.mark.parametrize("marginal", [Frechet(1.0), Gumbel(), ReverseWeibull(2.0)],
                          ids=["frechet", "gumbel", "reverse-weibull"])
 @pytest.mark.parametrize("low_floor", [False, True], ids=["default-floor", "floor-at-V-1e8"])
-@pytest.mark.parametrize("n_paths", [1, 99, 100, 101, "group+1", "3groups+7"])
+@pytest.mark.parametrize("n_paths", [1, 99, 100, 101, "group-1", "group", "group+1", "3groups+7"])
 def test_lockstep_chain_matches_per_chunk_chain(marginal, low_floor, n_paths):
-    group = GROUP_CHUNKS * CHUNK_PATHS
-    n_paths = {"group+1": group + 1, "3groups+7": 3 * group + 7}.get(n_paths, n_paths)
+    group = CHUNK_PATHS
+    n_paths = {"group-1": group - 1, "group": group, "group+1": group + 1,
+               "3groups+7": 3 * group + 7}.get(n_paths, n_paths)
     law, horizon, seed = univariate(marginal), 2.0, 71
     floor = float(marginal.vinv(1e8)) if low_floor else None  # 1e-8 for Frechet(1)
     m, _, v0 = _path_marginal(law, horizon, floor)

@@ -15,6 +15,7 @@ from randmax import (
     run_lemma12,
     sample_positive_stable,
     sample_Y_at_time,
+    simulate_path,
     substream,
     univariate,
 )
@@ -306,6 +307,28 @@ def test_geometric_mixer_at_zero_uniform_is_a_positive_time():
     z = Geometric().sample_mixer(ZeroUniforms(np.random.PCG64(9)), 4)
     assert np.all(z > 0.0)
     assert np.all(sample_Y_at_time(univariate(Frechet(1.0)), z, substream(0), 4) > 0.0)
+
+
+class ZeroExponentials(np.random.Generator):
+    """A generator whose unit exponentials are all 0.0, as numpy's ziggurat gives when its 53-bit
+    integer is 0."""
+
+    def standard_exponential(self, size=None, **kwargs):
+        return np.zeros(size)
+
+    def exponential(self, scale=1.0, size=None):
+        return np.zeros(size)
+
+
+def test_zero_exponential_is_a_positive_draw():
+    rng = ZeroExponentials(np.random.PCG64(9))
+    y = sample_Y_at_time(univariate(Frechet(1.0)), 1.0, rng, 4)
+    assert np.all(np.isfinite(y))
+    for nu in (0.3, 0.5, 0.7):
+        for draws in (MittagLeffler(nu).sample_mixer(rng, 4), sample_positive_stable(nu, rng, 4)):
+            assert np.all((draws > 0.0) & np.isfinite(draws))
+    path = simulate_path(univariate(Frechet(1.0)), 1.0, rng)
+    assert path.times[0] > 0.0
 
 
 def test_mixer_cdf_and_unsupported():

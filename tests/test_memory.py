@@ -91,7 +91,7 @@ def test_emit_csv_memory(tmp_path):
 
 
 def test_path_columns_memory():
-    # the chain advances GROUP_CHUNKS chunks at a time: 31.8 MB, as the per-chunk chain's 32.3 MB;
-    # all 1000 chunks at once peak at 89 MB
+    # the chain advances one CHUNK_PATHS chunk at a time: 31.8 MB, as the 100-path chunk chain's
+    # 32.3 MB; all 100 000 paths at once peak at 89 MB
     simulate_path_columns(univariate(Frechet(1.0)), 1.0, 1_000, 3)
     assert peak_mb(lambda: simulate_path_columns(univariate(Frechet(1.0)), 1.0, 100_000, 3)) < 33

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import randmax
 from randmax import (
     ConfigurationError,
     CountScheme,
@@ -11,7 +15,7 @@ from randmax import (
     substream,
 )
 from randmax.nmid_compose import sample_random_max
-from randmax.streams import CHUNK_DRAWS
+from randmax.streams import CHUNK_DRAWS, CHUNK_PATHS, chunked_list
 
 
 @pytest.mark.parametrize("draw", [
@@ -35,3 +39,35 @@ def test_chunks_fill_one_output_in_place(draw, chunks):
 def test_negative_substream_index_is_refused():
     with pytest.raises(ConfigurationError, match="substream index must be nonnegative, got -1"):
         substream(5, -1)
+
+
+def test_path_chunks_read_one_substream_each():
+    n = 2 * CHUNK_PATHS + 7
+    got = chunked_list(5, n, lambda rng, m: (m, rng.random(3)))
+    assert [m for m, _ in got] == [CHUNK_PATHS, CHUNK_PATHS, 7]
+    for index, (_, draws) in enumerate(got):
+        assert draws.tobytes() == substream(5, index).random(3).tobytes()
+    for n in (0, -3):
+        with pytest.raises(ConfigurationError, match="count must be positive"):
+            chunked_list(5, n, lambda rng, m: m)
+
+
+def test_generators_and_exponentials_come_from_streams_only():
+    # a generator built, a substream opened or an exponential drawn elsewhere bypasses the
+    # stream contract: the seeded chunks, and open_exponential's move of a 0 draw to 2^-64
+    for path in sorted(Path(randmax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "open_exponential":
+                inside |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("Philox", "Generator", "default_rng", "substream"):
+                    assert path.name == "streams.py", f"{path.name}:{node.lineno} calls {name}"
+                if name in ("exponential", "standard_exponential"):
+                    assert path.name == "streams.py" and id(node) in inside, (
+                        f"{path.name}:{node.lineno} draws exponentials outside open_exponential"
+                    )
