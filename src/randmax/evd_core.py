@@ -1,12 +1,13 @@
 """Classical extreme value building blocks.
 
 The standard univariate max-stable marginals (Frechet, Gumbel, reverse
-Weibull), each its type up to an affine norming, bivariate dependence
-through closed-form exponent measures, Poisson-maximum distribution
-functions, and the three base laws of the convergence experiments.  Each base law G is its own attraction triple: it carries its
-normed law ``normed(n)``, that of (X - b_n)/a_n, and its max-stable
-``target`` H, and ``normed_base`` evaluates the normed survival on the
-target's grid.
+Weibull), each its type up to an affine norming and each evaluated on the
+grid where V takes a fixed set of levels, bivariate dependence through
+closed-form exponent measures, Poisson-maximum distribution functions,
+and the three base laws of the convergence experiments.  Each base law G
+is its own attraction triple: it carries its normed law ``normed(n)``,
+that of (X - b_n)/a_n, and its max-stable ``target`` H, and
+``normed_base`` evaluates the normed survival on the target's grid.
 
 A max-stable law H is represented through its exponent function
 V(x) = mu([l, x]^c), so H(x) = exp(-V(x)) and coordinates below the lower
@@ -32,13 +33,26 @@ LOGISTIC = "logistic"
 
 
 class _Marginal:
-    """A max-stable marginal H = exp(-v); ``cdf`` follows from ``v``.
+    """A max-stable marginal H = exp(-v); ``cdf`` and ``grid`` follow from ``v`` and ``vinv``.
 
     Every ``v`` maps NaN to NaN, so a NaN argument never reads as a probability.
     """
 
     def cdf(self, x):
         return apply_scalar(x, lambda z: np.exp(-self.v(z)))
+
+    @property
+    def grid(self):
+        """The points ``vinv(levels)``; each must be 0 or a normal float, above the one before."""
+        with np.errstate(all="ignore"):  # an overflow or underflow is refused below
+            x = self.vinv(self.levels)
+        normal = (np.abs(x) >= np.finfo(float).tiny) & (np.abs(x) < np.inf)
+        if not (np.all(normal | (x == 0.0)) and np.all(x[1:] > x[:-1])):
+            raise DomainError(
+                f"the grid of {self} lies beyond the float range: "
+                "its points must be strictly increasing normal floats"
+            )
+        return x
 
 
 @dataclass(frozen=True)
@@ -47,7 +61,7 @@ class Frechet(_Marginal):
 
     alpha: float
 
-    grid = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    levels = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
 
     def __post_init__(self):
         _check_positive("shape parameter", self.alpha)
@@ -77,7 +91,7 @@ class Frechet(_Marginal):
 class Gumbel(_Marginal):
     """Standard Gumbel type: V(x) = exp(-x) on the whole line."""
 
-    grid = (-1.0, 0.0, 1.0, 2.0, 4.0)
+    levels = tuple(math.exp(-x) for x in (-1.0, 0.0, 1.0, 2.0, 4.0))
 
     def v(self, x):
         def f(z):
@@ -103,7 +117,7 @@ class ReverseWeibull(_Marginal):
 
     alpha: float
 
-    grid = (-4.0, -2.0, -1.0, -0.5, -0.25)
+    levels = (4.0, 2.0, 1.0, 0.5, 0.25)
 
     def __post_init__(self):
         _check_positive("shape parameter", self.alpha)
@@ -231,30 +245,12 @@ def univariate(marginal):
 def standard_points(law):
     """Default evaluation grid of a law: marginal grid, or its product for d = 2."""
     if law.dim == 1:
-        return np.asarray(law.marginals[0].grid)
+        return law.marginals[0].grid
     if law.dim == 2:
-        g0, g1 = (np.asarray(m.grid) for m in law.marginals)
+        g0, g1 = (m.grid for m in law.marginals)
         a, b = np.meshgrid(g0, g1, indexing="ij")
         return np.column_stack([a.ravel(), b.ravel()])
     raise ConfigurationError("standard grids are provided for dimensions 1 and 2 only")
-
-
-def _finite_exponent(law, pts, name):
-    """V of ``law`` (called ``name``) at ``pts``; ``DomainError`` where it overflowed the floats.
-
-    Every shipped grid lies inside its law's support, where V is finite
-    unless it overflows.
-    """
-    with np.errstate(over="ignore"):  # an infinite V is refused below
-        v = np.atleast_1d(law.v(pts))
-    if not np.all(np.isfinite(v)):
-        raise _beyond_float_range(f"V of the {name} on its grid")
-    return v
-
-
-def grid_exponent(law):
-    """V of ``law`` on ``standard_points(law)``, checked before any use."""
-    return _finite_exponent(law, standard_points(law), "base law")
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +356,7 @@ def normed_base(base, n):
     """``(S, V)`` on the target's grid: S = 1 - G(a_n x + b_n) and V(x).
 
     S is the survival of ``base.normed(n)``, so it keeps its digits where G
-    rounds to 1; V is the exponent of the target H = exp(-V).  A V that is
-    not finite on the grid raises ``DomainError``, as in ``grid_exponent``.
+    rounds to 1; V is the exponent of the target H = exp(-V).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -369,9 +364,8 @@ def normed_base(base, n):
         raise _beyond_float_range("n")
     if not isinstance(base, BASE_TYPES):
         raise ConfigurationError(f"unsupported base law: {base!r}")
-    pts = np.asarray(base.target.grid)
-    v = _finite_exponent(base.target, pts, f"{base.name} limit law")
-    return np.atleast_1d(base.normed(n).sf(pts)), v
+    pts = base.target.grid
+    return base.normed(n).sf(pts), base.target.v(pts)
 
 
 def tail_gap(n, s, v):

@@ -229,7 +229,8 @@ class Degenerate(LaplaceFamily):
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
             )
         n = 1.0 / theta
-        if abs(n - round(n)) > 1e-9:
+        # 1/(1/n) is n within about 0.71 n eps for every integer n up to 2^53
+        if abs(n - round(n)) > max(1e-9, 2.0 * np.finfo(float).eps / theta):
             raise ConfigurationError(
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
             )

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import BLOCK_VALUES
 from .errors import ConfigurationError
-from .evd_core import MaxStableLaw, PoissonMax, grid_exponent
+from .evd_core import MaxStableLaw, PoissonMax, standard_points
 from .lt_families import Degenerate
 from .streams import chunked_draws
 
@@ -126,7 +126,7 @@ def same_type_decompose(law, theta):
     law.family.validate_theta(theta)
     if not isinstance(law.base, MaxStableLaw):
         raise ConfigurationError("the same-type decomposition needs a max-stable base")
-    v = grid_exponent(law.base)
+    v = law.base.v(standard_points(law.base))
     # P_theta(F_theta) in survival space, where 1 - F_theta = 1 - phi(theta V) keeps its digits
     f_theta_sf = law.family.lt_sf(theta * v)
     residual = float(np.abs(law.family.lt(v) - law.family.pgf_sf(theta, f_theta_sf)).max())

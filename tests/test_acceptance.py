@@ -80,11 +80,11 @@ def test_criterion_02_mixture_oracle():
 
 def test_criterion_03_known_special_cases():
     start = time.perf_counter()
-    x = np.asarray(Frechet.grid)
+    x = np.asarray(Frechet(1.0).grid)
     log_logistic = np.abs(
         NMaxStableLaw(Geometric(), univariate(Frechet(1.0))).cdf(x) - x / (1.0 + x)
     ).max()
-    y = np.asarray(Gumbel.grid)
+    y = np.asarray(Gumbel().grid)
     logistic = np.abs(
         NMaxStableLaw(Geometric(), univariate(Gumbel())).cdf(y)
         - 1.0 / (1.0 + np.exp(-y))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import math
 import threading
@@ -286,7 +287,7 @@ def test_verify_thm34_uniform_far_tail(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, name, column", [
-    (["table", "doa", "--triple", "pareto:0.001"], "doa_gaps.csv", "tail_gap"),
+    (["table", "doa", "--triple", "pareto:0.01"], "doa_gaps.csv", "tail_gap"),
     (["verify", "definetti", "--triple", "pareto:0.01"], "definetti_gaps.csv", "sup_gap"),
 ])
 def test_small_pareto_exponent_gaps_are_exact(tmp_path, argv, name, column):
@@ -517,10 +518,9 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-V600 = "V of the pareto(600) limit law on its grid beyond the float range"
-# the thm31/thm32 grids of a Frechet(600), Frechet(1e300) or reverse-Weibull(1e300) marginal lie
-# inside the support; V overflows there
-V_BASE = "V of the base law on its grid beyond the float range"
+# a marginal's grid vinv(levels) leaves the normal floats below a shape of about 0.00293
+# (Frechet) or 0.00196 (reverse Weibull), and its points coincide from a shape of about 4e15
+GRID = "the grid of {} lies beyond the float range"
 
 
 @pytest.mark.filterwarnings("error")
@@ -539,15 +539,13 @@ V_BASE = "V of the base law on its grid beyond the float range"
      "horizon 1e-320 gives a default floor of 0.0 outside the support, "
      "where 0 < V(floor) < inf; give a floor with --floor"),
     (["extremal", "path", "--horizon", "1e-320", "--floor", "0"], "floor must lie inside"),
-    (["table", "doa", "--triple", "pareto:600"], V600),
-    (["table", "doa", "--triple", "pareto:1e300"],
-     "V of the pareto(1e+300) limit law on its grid beyond the float range"),
+    (["table", "doa", "--triple", "pareto:0.001"], GRID.format("Frechet(alpha=0.001)")),
+    (["table", "doa", "--triple", "pareto:1e300"], GRID.format("Frechet(alpha=1e+300)")),
     (["verify", "thm34", "--triple", "pareto:0.002", "--m", "10"],
-     "pareto(0.002) quantile beyond the float range"),
+     GRID.format("Frechet(alpha=0.002)")),
     (["verify", "thm31", "--marginal", "reverse-weibull:0.001"],
-     "reverse-Weibull(0.001) norming constant beyond the float range"),
-    (["verify", "thm31", "--marginal", "frechet:0.001"],
-     "Frechet(0.001) norming constant beyond the float range (below"),
+     GRID.format("ReverseWeibull(alpha=0.001)")),
+    (["verify", "thm31", "--marginal", "frechet:0.001"], GRID.format("Frechet(alpha=0.001)")),
     (["sample", "count", "--theta", "1e-320"], "smallest normal float"),
     (["sample", "randmax", "--theta", "1e-320"], "smallest normal float"),
     (["verify", "lemma12", "--threshold", "nan"], "threshold must be finite and in (0, 1), got nan"),
@@ -559,10 +557,11 @@ V_BASE = "V of the base law on its grid beyond the float range"
     (["sample", "extremal-marginal", "--t", "1e-320", "--n", "3"], "Y(t) lies beyond the float range"),
     (["verify", "thm34", "--m", "1"], "m = 1 draws cannot fail the KS check"),
     (["verify", "thm34", "--triple", "pareto:1e300", "--m", "200"],
-     "V of the pareto(1e+300) limit law on its grid beyond the float range"),
+     GRID.format("Frechet(alpha=1e+300)")),
     (["extremal", "path", "--floor", "1e-320"], "floor must lie inside the support"),
-    (["verify", "thm31", "--marginal", "frechet:1e300"], V_BASE),
-    (["verify", "thm31", "--marginal", "reverse-weibull:1e300"], V_BASE),
+    (["verify", "thm31", "--marginal", "frechet:1e300"], GRID.format("Frechet(alpha=1e+300)")),
+    (["verify", "thm31", "--marginal", "reverse-weibull:1e300"],
+     GRID.format("ReverseWeibull(alpha=1e+300)")),
     (["table", "doa", "--triple", "exponential", "--ns", "1" + "0" * 400], "n beyond the float range"),
     (["verify", "poincare", "--family", "degenerate", "--thetas", "1e-320"], "smallest normal float"),
     (["verify", "thm31", "--family", "degenerate", "--thetas", "1e-320"], "smallest normal float"),
@@ -576,9 +575,12 @@ V_BASE = "V of the base law on its grid beyond the float range"
      "lies beyond the float range"),
     (["verify", "thm32", "--family", "mittag-leffler", "--nu", "0.01", "--n", "2000"],
      "lies beyond the float range"),
-    (["verify", "thm32", "--marginal", "frechet:1e300", "--n", "200"], V_BASE),
-    (["verify", "thm32", "--marginal", "reverse-weibull:1e300", "--n", "200"], V_BASE),
-    (["verify", "thm32", "--marginal", "frechet:600"], V_BASE),
+    (["verify", "thm32", "--marginal", "frechet:1e300", "--n", "200"],
+     GRID.format("Frechet(alpha=1e+300)")),
+    (["verify", "thm32", "--marginal", "reverse-weibull:1e300", "--n", "200"],
+     GRID.format("ReverseWeibull(alpha=1e+300)")),
+    (["verify", "thm32", "--marginal", "reverse-weibull:0.0019"],
+     GRID.format("ReverseWeibull(alpha=0.0019)")),
     (["verify", "thm24", "--family", "mittag-leffler", "--nu", "0.01"],
      "count index n^(-1/nu) at n = 10000, nu = 0.01 lies beyond the float range"),
     (["verify", "thm34", "--family", "mittag-leffler", "--nu", "0.01", "--m", "200"],
@@ -586,10 +588,10 @@ V_BASE = "V of the base law on its grid beyond the float range"
     (["verify", "thm24", "--ns", "1" + "0" * 308], "count index 1/n at n = 1e+308 lies beyond"),
     (["verify", "thm34", "--n", "1" + "0" * 308, "--m", "200"],
      "count index 1/n at n = 1e+308 lies beyond"),
-    (["verify", "definetti", "--triple", "pareto:600"], V600),
-    (["verify", "thm24", "--triple", "pareto:600"], V600),
-    (["verify", "definetti", "--triple", "pareto:600", "--family", "mittag-leffler", "--nu", "0.5"],
-     V600),
+    (["verify", "definetti", "--triple", "pareto:0.0029"], GRID.format("Frechet(alpha=0.0029)")),
+    (["verify", "thm24", "--triple", "pareto:1e16"], GRID.format("Frechet(alpha=1e+16)")),
+    (["verify", "thm31", "--marginal", "reverse-weibull:1e16"],
+     GRID.format("ReverseWeibull(alpha=1e+16)")),
     (["verify", "lemma12", "--family", "mittag-leffler"], "requires --nu in (0, 1)"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
@@ -598,6 +600,72 @@ def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["table", "doa", "--triple", "pareto:6.7"],
+    ["table", "doa", "--triple", "pareto:18.6"],
+    ["table", "doa", "--triple", "pareto:600"],
+    ["verify", "thm34", "--triple", "pareto:18.6", "--n", "67774"],
+    ["verify", "thm24", "--triple", "pareto:2.5"],
+    ["verify", "thm24", "--triple", "pareto:2.5", "--family", "mittag-leffler", "--nu", "0.5"],
+    ["verify", "thm24", "--triple", "pareto:2.5", "--family", "degenerate"],
+    ["verify", "thm24", "--triple", "pareto:600"],
+    ["verify", "definetti", "--triple", "pareto:600"],
+    ["verify", "definetti", "--triple", "pareto:600", "--family", "mittag-leffler", "--nu", "0.5"],
+    ["verify", "thm31", "--marginal", "frechet:600"],
+    ["verify", "thm31", "--marginal", "reverse-weibull:600"],
+    ["verify", "thm32", "--marginal", "frechet:600"],
+    ["verify", "thm32", "--marginal", "reverse-weibull:600"],
+    # theta = 1/11923213 misses its integer by more than 1e-9 after the division back
+    ["verify", "thm34", "--family", "degenerate", "--n", "11923213"],
+])
+def test_extreme_shapes_and_indices_pass(tmp_path, capsys, argv):
+    # each grid is vinv of fixed levels, so V stays in [1/8, 4] at every admitted shape; on the
+    # grid 0.25, ..., 8 Pareto(2.5) met V = 32 and failed the thm24 witness at n = 100
+    code, out = run(argv + ["--seed", "1"], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+DEFAULT_SHAPE_DIGESTS = {
+    ("verify", "thm24", "--triple", "pareto:1"):
+        "a99a195f3b05b7fbb74ecd50be07e3c34e589522f7a9e1c1021bb67d18356264",
+    ("verify", "thm24", "--triple", "exponential"):
+        "49ec713c49d039c0ff9cc02ae8ad3f29d4ab5b379e847b01766d6683b9b94823",
+    ("verify", "thm24", "--triple", "uniform"):
+        "54382085dc27faf2f65afa68167fa9cab2327ffbfb9a2324c0bdd3f7abd59b0f",
+    ("verify", "definetti", "--triple", "pareto:1"):
+        "0c8b38054a7e3333a3867bb165a10829e6752f592e0dfafa1b050464941e04a9",
+    ("verify", "definetti", "--triple", "exponential"):
+        "8df87850e0260ae1ac4069d64d4d79657211d85058474583a3ef8e42910a3756",
+    ("verify", "definetti", "--triple", "uniform"):
+        "e1f8a1124860bd51f1f9f82a3b719f89038c21365309b0a1b71b37112385108f",
+    ("table", "doa", "--triple", "pareto:1"):
+        "f5e78b225831cf6d6fab36d20b675bf5c80eff0d815df3cd6fd3d730158f7cdf",
+    ("table", "doa", "--triple", "exponential"):
+        "90567a83505ff1a049568908089aacf289fb87e4a35aa9f1a3552fe989f87f7a",
+    ("table", "doa", "--triple", "uniform"):
+        "2f33135bfcafd1f0871f8f5872b12f6d92be32e9fabb89355d479b2fe9e1b786",
+    ("verify", "thm31", "--marginal", "frechet:1"):
+        "8aaef950395bf979e9902b751a3330e66dd42bc668b072b63facf38477cd1f31",
+    ("verify", "thm31", "--marginal", "gumbel"):
+        "863306d2dbb22e34796e431b7203e65e9e54463a0175b3ca284029cdf4df545d",
+    ("verify", "thm31", "--marginal", "reverse-weibull:1"):
+        "5c5836c6d25043ac6c8c87a885bcef4e631348ec75c0419c79d3bf724c35ba8e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEFAULT_SHAPE_DIGESTS))
+def test_default_shape_outputs_keep_their_bytes(tmp_path, argv):
+    # SHA-256 of the output files (table CSV, then summary) concatenated in name order
+    code, out = run(list(argv), tmp_path)
+    assert code == 0
+    files = sorted(out.iterdir())
+    assert [path.suffix for path in files] == [".csv", ".txt"]
+    digest = hashlib.sha256(b"".join(path.read_bytes() for path in files)).hexdigest()
+    assert digest == DEFAULT_SHAPE_DIGESTS[argv]
 
 
 SWEEP_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e-300", "1e-17", "1e-16", "0.999999", "1",

@@ -324,3 +324,51 @@ def test_standard_quantile_at_zero_prints_zero():
     # 0 - log(1) and 0 - 0^(1/alpha) are +0, where -log(1) and -(0^(1/alpha)) would print -0
     assert format_value(Gumbel().vinv(1.0)) == "0"
     assert format_value(ReverseWeibull(1.0).vinv(0.0)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# Level grids
+# ---------------------------------------------------------------------------
+
+# the smallest and largest admitted shapes as numpy's power gives them on x86-64: below the first
+# a grid point leaves the normal floats, above the second two grid points round to the same float;
+# the tests stay a relative 1e-7 away from each, so an ulp of another power does not move them
+SHAPE_RANGES = {Frechet: (0.0029296875, 3745988860899155.5),
+                ReverseWeibull: (0.0019569471624266144, 4162209845443507.0)}
+MARGIN = 1e-7
+
+
+def _admitted_shapes(cls, count=200):
+    low, high = SHAPE_RANGES[cls]
+    low, high = low * (1.0 + MARGIN), high * (1.0 - MARGIN)
+    drawn = np.exp(np.random.default_rng(11).uniform(np.log(low), np.log(high), count))
+    return [low, *drawn.tolist(), high]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cls", [Frechet, ReverseWeibull], ids=lambda cls: cls.__name__)
+def test_level_grid_is_increasing_normal_floats_with_finite_v(cls):
+    for alpha in _admitted_shapes(cls):
+        marginal = cls(alpha)
+        grid = marginal.grid
+        assert np.all((np.abs(grid) >= np.finfo(float).tiny) & np.isfinite(grid)), alpha
+        assert np.all(grid[1:] > grid[:-1]), alpha
+        assert np.all(np.isfinite(marginal.v(grid))), alpha
+
+
+def test_default_level_grids_are_the_literal_grids():
+    for marginal, literal in ((Frechet(1.0), (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)),
+                              (ReverseWeibull(1.0), (-4.0, -2.0, -1.0, -0.5, -0.25)),
+                              (Gumbel(), (-1.0, 0.0, 1.0, 2.0, 4.0))):
+        grid = marginal.grid
+        assert grid.tobytes() == np.array(literal).tobytes(), marginal  # the sign of 0 included
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cls", [Frechet, ReverseWeibull], ids=lambda cls: cls.__name__)
+def test_unresolved_level_grids_are_refused(cls):
+    low, high = SHAPE_RANGES[cls]
+    for alpha in (1e-300, 1e-3, low * (1.0 - MARGIN), high * (1.0 + MARGIN), 1e16, 1e300):
+        marginal = cls(alpha)
+        with pytest.raises(DomainError, match="the grid of .* lies beyond the float range"):
+            marginal.grid

@@ -290,7 +290,7 @@ def test_subordination_mittag_leffler():
     report = run_thm32(MittagLeffler(0.5), FRECHET1, 100_000, seed=58)
     assert report.passed
     # closed form of the composed law at x: 1/(1 + x^(-1/2))
-    x = np.asarray(Frechet.grid)
+    x = np.asarray(Frechet(1.0).grid)
     nlaw = NMaxStableLaw(MittagLeffler(0.5), FRECHET1)
     assert np.abs(nlaw.cdf(x) - 1.0 / (1.0 + x**-0.5)).max() < 1e-14
 

@@ -178,6 +178,22 @@ def test_theta_below_the_smallest_normal_float_is_refused():
         Degenerate().sample_count(1e-300, substream(0), 3)
 
 
+def test_degenerate_accepts_its_own_index_in_every_decade_to_2_pow_53():
+    # 1/(1/n) misses n by up to about 0.71 n eps, more than 1e-9 from n = 10^7 on; 1/(n + 1/2)
+    # stays refused while 0.5 - 0.71 n eps exceeds the tolerance 2 n eps, to about 8e14
+    family, rng = Degenerate(), np.random.default_rng(8)
+    for decade in range(16):
+        low, high = 10**decade, min(10 ** (decade + 1), 2**53)
+        for n in [low, high, *rng.integers(low, high, 2_000).tolist()]:
+            theta = family.index(n)
+            family.validate_theta(theta)
+            if n < 10**15:
+                assert round(1.0 / theta) == n
+            if n < 10**14:
+                with pytest.raises(ConfigurationError, match="theta = 1/n for integer n"):
+                    family.validate_theta(1.0 / (n + 0.5))
+
+
 def test_index_and_limit_exponent():
     # theta_n = index(n) gives E N = n; phi(limit_exponent(v)) is the geometric 1/(1 + v)
     v = np.array([0.0, 0.1, 1.0, 10.0, np.inf])

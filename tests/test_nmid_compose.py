@@ -48,12 +48,12 @@ def law_of(family, marginal):
 def test_known_special_cases():
     # geometric + Frechet(1) is log-logistic x/(1+x)
     law = law_of(GEOMETRIC, Frechet(1.0))
-    x = np.asarray(Frechet.grid)
+    x = np.asarray(Frechet(1.0).grid)
     assert np.abs(law.cdf(x) - x / (1.0 + x)).max() < 1e-14
     assert law.cdf(1.0) == pytest.approx(0.5, abs=1e-15)
     # geometric + Gumbel is the logistic law 1/(1+exp(-x))
     law = law_of(GEOMETRIC, Gumbel())
-    x = np.asarray(Gumbel.grid)
+    x = np.asarray(Gumbel().grid)
     assert np.abs(law.cdf(x) - 1.0 / (1.0 + np.exp(-x))).max() < 1e-14
     assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
@@ -128,7 +128,7 @@ def test_mixture_over_poisson_max_base():
 
 def test_mixture_degenerate_is_exactly_h():
     law = law_of(DEGENERATE, Frechet(1.0))
-    x = np.asarray(Frechet.grid)
+    x = np.asarray(Frechet(1.0).grid)
     assert np.array_equal(mixture_cdf(law, x), np.exp(-1.0 / x))
 
 
@@ -200,7 +200,7 @@ def test_random_max_monotone_coupling():
     # smaller theta gives a stochastically larger maximum, and pathwise so:
     # the count and maximum uniforms sit at the same stream positions
     base = Pareto(1.0)
-    grid = np.asarray(Frechet.grid)
+    grid = np.asarray(Frechet(1.0).grid)
     previous = previous_draws = None
     for theta in (0.5, 0.1, 0.01):
         scheme = CountScheme(GEOMETRIC, theta)
@@ -308,6 +308,6 @@ def test_decompose_validation():
         same_type_decompose(law, 1.5)
     with pytest.raises(ConfigurationError):
         same_type_decompose(NMaxStableLaw(GEOMETRIC, PoissonMax(1.0, Pareto(1.0))), 0.5)
-    # an infinite V on the grid overflowed: 0.25^-600 is beyond the floats
-    with pytest.raises(DomainError, match="V of the base law on its grid beyond the float range"):
-        same_type_decompose(law_of(GEOMETRIC, Frechet(600.0)), 0.5)
+    # the grid points 4^(-1e-300), ..., 0.125^(-1e-300) all round to 1
+    with pytest.raises(DomainError, match=r"the grid of Frechet\(alpha=1e\+300\) lies beyond"):
+        same_type_decompose(law_of(GEOMETRIC, Frechet(1e300)), 0.5)
