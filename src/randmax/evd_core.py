@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import apply_scalar
+from ._util import MAX, TINY, apply_scalar, in_floats
 from .errors import ConfigurationError, DomainError
 
 INDEPENDENCE = "independence"
@@ -46,7 +46,7 @@ class _Marginal:
         """The points ``vinv(levels)``; each must be 0 or a normal float, above the one before."""
         with np.errstate(all="ignore"):  # an overflow or underflow is refused below
             x = self.vinv(self.levels)
-        normal = (np.abs(x) >= np.finfo(float).tiny) & (np.abs(x) < np.inf)
+        normal = (np.abs(x) >= TINY) & (np.abs(x) < np.inf)
         if not (np.all(normal | (x == 0.0)) and np.all(x[1:] > x[:-1])):
             raise DomainError(
                 f"the grid of {self} lies beyond the float range: "
@@ -143,21 +143,10 @@ def _check_positive(what, value):
         raise ConfigurationError(f"{what} must be finite and positive, got {value}")
 
 
-def _beyond_float_range(what):
-    return DomainError(f"{what} beyond the float range (above {np.finfo(float).max:.6g})")
-
-
 def _norming_scale(law, t, power):
     """The norming scale ``t ** power`` of ``law``, refused where it leaves the normal floats."""
-    try:
-        a = float(t) ** power
-    except OverflowError:
-        raise _beyond_float_range(f"{law} norming constant") from None
-    if a < np.finfo(float).tiny:
-        raise DomainError(
-            f"{law} norming constant beyond the float range (below {np.finfo(float).tiny:.6g})"
-        )
-    return a
+    with np.errstate(over="ignore"):
+        return float(in_floats(np.power(float(t), power), f"{law} norming constant"))
 
 
 MARGINAL_TYPES = (Frechet, Gumbel, ReverseWeibull)
@@ -296,11 +285,10 @@ class Pareto:
         return apply_scalar(x, f)
 
     def isf(self, s):
-        try:
-            with np.errstate(over="raise"):
-                return apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
-        except FloatingPointError:
-            raise _beyond_float_range(f"{self.name} quantile") from None
+        with np.errstate(over="ignore"):
+            x = apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
+        # a normed quantile isf(n s) at n s > 1 may underflow to 0, the target's lower corner
+        return in_floats(x, f"{self.name} quantile", low=0.0)
 
     def normed(self, n):
         return NormedBase(
@@ -360,8 +348,8 @@ def normed_base(base, n):
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if n > float(np.finfo(float).max):  # a Python int compares exactly
-        raise _beyond_float_range("n")
+    if n > MAX:  # a Python int compares exactly
+        raise DomainError(f"n beyond the float range (above {MAX:.6g})")
     if not isinstance(base, BASE_TYPES):
         raise ConfigurationError(f"unsupported base law: {base!r}")
     pts = base.target.grid

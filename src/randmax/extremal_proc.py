@@ -14,28 +14,21 @@ one substream chunk advance together, one jump index at a time.
 Evaluating the process at an independent random time Z drawn from the
 mixer (the variable whose Laplace transform is phi) reproduces the
 count-mixed law phi(V(x)); ``verify_harness.run_thm32`` checks this by a
-seeded Kolmogorov-Smirnov comparison.  Y(Z) is always sampled exactly via
-the conditional law given Z, never through path simulation.
+seeded Kolmogorov-Smirnov comparison on the levels E/Z, which
+``sample_levels`` draws.  Y(Z) is always sampled exactly via the
+conditional law given Z, never through path simulation.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from ._util import MAX, in_floats
 from .errors import ConfigurationError, DomainError
 from .evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE, MaxStableLaw
 from .streams import chunked_list, open_exponential, open_uniform
 
-_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 FLOOR_MASS = 1e-3  # the default floor is this quantile of Y(horizon/1000)
-_PATH_RANGE = (
-    f"a path state lies beyond the float range (a level V below {_TINY:.6g} "
-    f"or a state beyond {_MAX:.6g})"
-)
-_Y_RANGE = (
-    f"Y(t) lies beyond the float range (a level E/t outside [{_TINY:.6g}, {_MAX:.6g}] "
-    f"or a state beyond {_MAX:.6g})"
-)
 
 
 class PathColumns(NamedTuple):
@@ -84,19 +77,6 @@ def _path_marginal(law, horizon, floor):
     return m, y0, v0
 
 
-def _states(marginal, levels, message):
-    """``marginal.vinv(levels)``; ``DomainError(message)`` where a level or a state leaves the floats.
-
-    Call it with overflow and division warnings off: the overflows it refuses.
-    """
-    states = marginal.vinv(levels)
-    # a subnormal level may repeat, and an infinite level or state is no number (NaN fails too)
-    if not (levels.min(initial=_MAX) >= _TINY and levels.max(initial=_TINY) <= _MAX
-            and states.min(initial=0.0) >= -_MAX and states.max(initial=0.0) <= _MAX):
-        raise DomainError(message)
-    return states
-
-
 def _jump_chain(marginal, v0, horizon, rng, n):
     """Jump counts, then flat jump times and states, of ``n`` paths started at level ``v0``.
 
@@ -107,7 +87,8 @@ def _jump_chain(marginal, v0, horizon, rng, n):
     each path's jumps are then placed at the offset its count gives, and the
     levels are mapped to states once.
     """
-    # an overflowing time lies past the horizon; an overflowing state is caught by _states
+    # an overflowing time lies past the horizon; a subnormal level (which may repeat) and an
+    # overflowing state leave the floats, and are refused at the end
     with np.errstate(over="ignore", divide="ignore"):
         ids, t, v = np.arange(n), open_exponential(rng, n) / v0, np.full(n, v0)
         jumps = [(ids[:0], t[:0], v[:0])]
@@ -126,7 +107,8 @@ def _jump_chain(marginal, v0, horizon, rng, n):
         slots = (np.cumsum(counts) - counts)[ids] + k
         times, levels = np.empty_like(t), np.empty_like(v)
         times[slots], levels[slots] = t, v
-        return counts, times, _states(marginal, levels, _PATH_RANGE)
+        states = marginal.vinv(in_floats(levels, "a level V of a path"))
+        return counts, times, in_floats(states, "a state of a path", low=-MAX)
 
 
 def simulate_path(law, horizon, rng, floor=None):
@@ -149,12 +131,14 @@ def simulate_path_columns(law, horizon, n_paths, seed, floor=None):
     return PathColumns(counts, times, states, float(horizon), y0)
 
 
-def sample_Y_at_time(law, t, rng, size):
-    """``size`` exact draws of Y(t): per coordinate, exp(-t V) inverted as the state of level E/t.
+def sample_levels(law, t, rng, size):
+    """``size`` draws of the levels E/t whose states are Y(t): Y(t) <= x iff E/t >= V(x).
 
-    Independence draws one exponential per coordinate; complete dependence
-    drives every coordinate with the same exponential.  The logistic model
-    is evaluation-only and is rejected here.
+    Independence draws one exponential per coordinate, a column each;
+    complete dependence drives every coordinate with the same exponential,
+    so its levels are one column, as for d = 1.  The logistic model is
+    evaluation-only and is rejected here, and a level outside the normal
+    floats is refused.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t) & (t > 0.0)):
@@ -164,10 +148,17 @@ def sample_Y_at_time(law, t, rng, size):
             "exact sampling supports independence and complete dependence only; "
             "the logistic model ships with CDF evaluation, not a sampler"
         )
-    if law.dim == 1 or law.dependence == COMPLETE_DEPENDENCE:
-        draws = [open_exponential(rng, size)] * law.dim
-    else:
-        draws = list(open_exponential(rng, (size, law.dim)).T)
+    shared = law.dim == 1 or law.dependence == COMPLETE_DEPENDENCE
+    e = open_exponential(rng, size if shared else (size, law.dim))
+    with np.errstate(over="ignore"):  # t is one time, or one per draw: a row of e
+        return in_floats((e.T / t).T, "a level V = E/t of Y(t)")
+
+
+def sample_Y_at_time(law, t, rng, size):
+    """``size`` exact draws of Y(t): per coordinate, the states of ``sample_levels``."""
+    levels = sample_levels(law, t, rng, size)
+    columns = [levels] * law.dim if levels.ndim == 1 else levels.T
     with np.errstate(over="ignore", divide="ignore"):
-        cols = [_states(m, e / t, _Y_RANGE) for m, e in zip(law.marginals, draws)]
+        cols = [in_floats(m.vinv(v), "a state of Y(t)", low=-MAX)
+                for m, v in zip(law.marginals, columns)]
     return cols[0] if law.dim == 1 else np.column_stack(cols)

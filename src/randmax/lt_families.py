@@ -9,8 +9,8 @@ N_theta with that p.g.f., and the mixing variable U whose Laplace
 transform is phi (the weak limit of theta*N_theta as theta drops to 0).
 The survival forms keep their digits where phi(theta*s) rounds to 1, so
 the identities stay exact as theta drops to the smallest normal float,
-below which theta is refused.  A mixer or stable draw outside the floats
-raises ``DomainError``.
+below which theta is refused.  A count index, mixer draw or stable draw
+outside the normal floats raises ``DomainError`` through ``_util.in_floats``.
 
 Three closed-form families are provided:
 
@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import EPS, TINY, in_floats
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
 from .streams import open_exponential, open_uniform
-
-_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 
 
 class LaplaceFamily:
@@ -59,9 +58,9 @@ class LaplaceFamily:
 
         Each family adds its own range check after this one.
         """
-        if 0.0 < theta < _TINY:
+        if 0.0 < theta < TINY:
             raise ConfigurationError(
-                f"theta must be at least the smallest normal float {_TINY:.6g}, got {theta}"
+                f"theta must be at least the smallest normal float {TINY:.6g}, got {theta}"
             )
 
     def pgf_sf(self, theta, s):
@@ -90,7 +89,7 @@ class LaplaceFamily:
         P_{theta_n}(G(a_n x + b_n)) -> phi(limit_exponent(V(x))).  A theta_n
         below the smallest normal float raises ``DomainError``.
         """
-        return _in_floats(1.0 / n, f"count index 1/n at n = {n:g}")
+        return in_floats(1.0 / n, f"count index 1/n at n = {n:g}")
 
     def limit_exponent(self, v):
         """The argument of phi in the limit of the random maximum at ``index(n)``."""
@@ -187,7 +186,7 @@ class MittagLeffler(Geometric):
 
     def index(self, n):
         # N_theta is geometric with success theta^nu, so n theta^nu = 1 balances 1 - G ~ V/n
-        return _in_floats(
+        return in_floats(
             n ** (-1.0 / self.nu), f"count index n^(-1/nu) at n = {n:g}, nu = {self.nu:g}"
         )
 
@@ -202,7 +201,7 @@ class MittagLeffler(Geometric):
         e = open_exponential(rng, size)
         stable = sample_positive_stable(self.nu, rng, size)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            return _in_floats(np.power(e, 1.0 / self.nu) * stable, "Mittag-Leffler mixer draw")
+            return in_floats(np.power(e, 1.0 / self.nu) * stable, "Mittag-Leffler mixer draw")
 
     def __repr__(self):
         return f"MittagLeffler(nu={self.nu!r})"
@@ -230,7 +229,7 @@ class Degenerate(LaplaceFamily):
             )
         n = 1.0 / theta
         # 1/(1/n) is n within about 0.71 n eps for every integer n up to 2^53
-        if abs(n - round(n)) > max(1e-9, 2.0 * np.finfo(float).eps / theta):
+        if abs(n - round(n)) > max(1e-9, 2.0 * EPS / theta):
             raise ConfigurationError(
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
             )
@@ -294,17 +293,7 @@ def sample_positive_stable(nu, rng, size):
         draws = np.sin(nu * w) / np.sin(w) ** (1.0 / nu) * (
             np.sin((1.0 - nu) * w) / e
         ) ** ((1.0 - nu) / nu)
-    return _in_floats(draws, f"positive {nu:g}-stable draw")
-
-
-def _in_floats(draws, what):
-    """``draws``; ``DomainError`` where one lies outside [tiny, max] (NaN fails too)."""
-    arr = np.asarray(draws)
-    if not (arr.min(initial=_MAX) >= _TINY and arr.max(initial=_TINY) <= _MAX):
-        raise DomainError(
-            f"{what} lies beyond the float range (outside [{_TINY:.6g}, {_MAX:.6g}])"
-        )
-    return draws
+    return in_floats(draws, f"positive {nu:g}-stable draw")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from ._csvtext import csv_rows, format_value
 from ._util import BLOCK_VALUES
 from .errors import ConfigurationError, DomainError
 from .evd_core import MaxStableLaw, cdf_gap, doa_gap, normed_base, tail_gap
-from .extremal_proc import sample_Y_at_time
+from .extremal_proc import sample_levels
 from .lt_families import CountScheme, MittagLeffler
 from .nmid_compose import NMaxStableLaw, same_type_decompose, sample_random_max_seeded
 from .streams import chunked_draws
@@ -377,33 +377,30 @@ def run_thm31(family, law, thetas=POINCARE_THETAS):
 def run_thm32(family, law, n, seed):
     """Subordination check: Y at an independent mixer time reproduces phi(V).
 
-    Draws Z from the mixer, then Y(Z) exactly, and compares with phi(V(x)).
-    d = 1 compares the full empirical d.f.; d = 2 compares each coordinate
-    against its count-mixed marginal phi(V_i(x)).  Passes when every
-    Kolmogorov-Smirnov distance is below 1.628/sqrt(n) (the 1 percent
+    Draws Z from the mixer, then the levels E/Z of Y(Z) exactly, and runs
+    the KS check on the levels: Y(Z) <= x holds exactly where E/Z >= V(x),
+    so the levels have d.f. 1 - phi at every shape, where the states of a
+    large shape round to a few hundred floats.  d = 2 checks each
+    coordinate's levels, one column under complete dependence.  Passes when
+    every Kolmogorov-Smirnov distance is below 1.628/sqrt(n) (the 1 percent
     critical value).  The logistic model has no sampler and is rejected, and
     the marginal grids are read before any draw.
     """
     if not isinstance(law, MaxStableLaw):
         raise ConfigurationError("subordination requires a max-stable base")
     grids = [m.grid for m in law.marginals]
-
-    def draw(rng, m):
-        z = family.sample_mixer(rng, m)
-        return sample_Y_at_time(law, z, rng, m)
-
-    sample = chunked_draws(seed, n, draw)
-    sample.sort(axis=0)
-    columns = [sample] if law.dim == 1 else [sample[:, i] for i in range(law.dim)]
-    distances = []
+    levels = chunked_draws(
+        seed, n, lambda rng, m: sample_levels(law, family.sample_mixer(rng, m), rng, m)
+    )
+    levels.sort(axis=0)
+    distance = max(ks_distance(column, family.lt_sf) for column in levels.reshape(n, -1).T)
+    columns = [levels] * law.dim if levels.ndim == 1 else levels.T
     rows = []
     for i, (column, marginal, grid) in enumerate(zip(columns, law.marginals, grids)):
-        cdf = lambda x, m=marginal: family.lt(m.v(x))
-        distances.append(ks_distance(column, cdf))
-        empirical = np.searchsorted(column, grid, side="right") / n
-        for x, emp in zip(grid, empirical):
-            rows.append((i, float(x), float(emp), float(cdf(x))))
-    distance = max(distances)
+        v = marginal.v(grid)
+        empirical = (n - np.searchsorted(column, v, side="left")) / n
+        for x, w, emp in zip(grid, v, empirical):
+            rows.append((i, float(x), float(emp), float(family.lt(w))))
     critical = float(ks_critical(n))
     table = Table.from_rows(
         name="grid", columns=("coordinate", "x", "empirical", "analytic"), rows=rows

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib
 import math
+import random
 import threading
 import warnings
 from pathlib import Path
@@ -82,6 +83,17 @@ def test_verify_thm32_seeded(tmp_path):
     summary = (out / "thm32_summary.txt").read_text()
     distance = float(next(l for l in summary.splitlines() if l.startswith("distance")).split("=")[1])
     assert distance < 0.00515
+
+
+def test_thm32_checks_levels_that_no_shape_rounds(tmp_path, capsys):
+    # Y(Z) <= x iff E/Z >= V(x): the KS check runs on the levels E/Z, which do not depend on the
+    # marginal, where states of a shape from 1e14 on round to a few hundred floats near +-1
+    distances = set()
+    for marginal in ("frechet:1", "frechet:1e14", "reverse-weibull:1e14", "frechet:3e15"):
+        code, _ = run(["verify", "thm32", "--marginal", marginal, "--seed", "3"], tmp_path)
+        assert code == 0, marginal
+        distances |= {l for l in capsys.readouterr().out.splitlines() if l.startswith("distance")}
+    assert len(distances) == 1
 
 
 def test_sample_randmax_degenerate(tmp_path):
@@ -620,6 +632,11 @@ def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     ["verify", "thm32", "--marginal", "reverse-weibull:600"],
     # theta = 1/11923213 misses its integer by more than 1e-9 after the division back
     ["verify", "thm34", "--family", "degenerate", "--n", "11923213"],
+    # thm32 checks the levels E/Z, where a state vinv(E/Z) of a small shape overflowed
+    ["verify", "thm32", "--marginal", "frechet:0.003"],
+    ["verify", "thm32", "--marginal", "reverse-weibull:0.003"],
+    ["verify", "thm32", "--family", "mittag-leffler", "--nu", "0.4", "--marginal", "frechet:0.03",
+     "--dependence", "complete"],
 ])
 def test_extreme_shapes_and_indices_pass(tmp_path, capsys, argv):
     # each grid is vinv of fixed levels, so V stays in [1/8, 4] at every admitted shape; on the
@@ -718,9 +735,11 @@ def sweep_cases():
                     yield base + list(family) + [f"{flag.name}={value}"]
 
 
-def test_adversarial_flag_sweep(tmp_path, capsys):
+def sweep_problems(cases, tmp_path, capsys, codes):
+    """(argv, what) for each case that exits outside ``codes``, raises, warns, writes a NaN or
+    infinite cell, or exits 2 without exactly one ``error:`` line."""
     problems = []
-    for index, argv in enumerate(sweep_cases()):
+    for index, argv in enumerate(cases):
         out = tmp_path / str(index)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -730,8 +749,8 @@ def test_adversarial_flag_sweep(tmp_path, capsys):
                 problems.append((argv, f"raised {exc!r}"))
                 continue
         err = capsys.readouterr().err
-        if code not in (0, 1, 2):
-            problems.append((argv, f"exit {code}"))
+        if code not in codes:
+            problems.append((argv, f"exit {code}: {err!r}"))
         if caught:
             problems.append((argv, f"warned {caught[0].message}"))
         if code == 2 and sum("error:" in line for line in err.splitlines()) != 1:
@@ -744,4 +763,87 @@ def test_adversarial_flag_sweep(tmp_path, capsys):
                     problems.append((argv, f"{path.name} column {column} holds {sorted(bad)}"))
                 if (path.name, column) in INTEGER_COLUMNS and not all(map(str.isdigit, cells)):
                     problems.append((argv, f"{path.name} column {column} holds a non-integer"))
+    return problems
+
+
+def test_adversarial_flag_sweep(tmp_path, capsys):
+    problems = sweep_problems(sweep_cases(), tmp_path, capsys, (0, 1, 2))
+    assert not problems, "\n".join(f"{' '.join(argv)}: {what}" for argv, what in problems)
+
+
+INTERIOR_SEED, INTERIOR_CASES = 23, 30  # cases per experiment
+# every grid is resolved from shape 0.003 to 3e15 (README); where a run draws Pareto quantiles
+# or states of Y(t) or a path, those stay finite from shape 0.1 on
+GRID_SHAPES, DRAW_SHAPES = (0.003, 3e15), (0.1, 3e15)
+INDEX_NS = (2, 1e15)  # 1/n is an admitted degenerate theta to 2^53; n = 1 gives theta 1
+THETAS = (1e-15, 0.5)  # a geometric count 1/theta stays far inside int64
+SIZES = {"verify": (100, 100_000), "sample": (1, 1000), "extremal": (1, 50)}
+
+
+def log_uniform(rng, low, high):
+    return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+
+def interior_case(rng, key, experiment):
+    """``key`` with a seed and each of its flags drawn log-uniformly inside its domain."""
+    draws = key[0] != "verify" or key == ("verify", "thm34")
+    alpha = log_uniform(rng, *(DRAW_SHAPES if draws else GRID_SHAPES))
+    # theta N_theta has no mixer limit under Mittag-Leffler counts, so lemma12 refuses them
+    family = rng.choice(("geometric", "degenerate") + ("mittag-leffler",) * (key[1] != "lemma12"))
+    # thm31's norming scale theta^(+-1/alpha) stays a normal float for theta >= 1e-300^alpha
+    low = 10.0 ** (-300 * min(alpha, 1.0)) if key[1] == "thm31" else THETAS[0]
+
+    def theta():
+        if family == "degenerate":
+            return repr(1.0 / int(log_uniform(rng, INDEX_NS[0], min(1.0 / low, INDEX_NS[1]))))
+        return repr(log_uniform(rng, low, THETAS[1]))
+
+    def index():
+        return str(int(log_uniform(rng, *INDEX_NS)))
+
+    def size():
+        return str(int(log_uniform(rng, *SIZES[key[0]])))
+
+    def floor():  # a state whose level V times the horizon lies in [1e-3, 1e3]
+        level = log_uniform(rng, 1e-3, 1e3) / float(values["--horizon"])
+        return repr(float(randmax.cli.parse_marginal(values["--marginal"]).vinv(level)))
+
+    shaped = (f"pareto:{alpha!r}", "exponential", "uniform")
+    draw = {
+        "--family": lambda: family,
+        "--nu": lambda: repr(log_uniform(rng, 0.1, 0.99)),
+        "--theta": theta,
+        "--thetas": lambda: ",".join(theta() for _ in range(rng.randint(1, 3))),
+        "--s-grid": lambda: ",".join(
+            repr(log_uniform(rng, 1e-300, 1e300)) for _ in range(rng.randint(1, 5))),
+        "--threshold": lambda: repr(log_uniform(rng, 1e-3, 0.5)),
+        "--ns": lambda: ",".join(index() for _ in range(rng.randint(1, 4))),
+        "--n": index if key == ("verify", "thm34") else size,
+        "--m": size,
+        "--paths": size,
+        "--t": lambda: repr(log_uniform(rng, 1e-3, 1e3)),
+        "--horizon": lambda: repr(log_uniform(rng, 1e-3, 1e3)),
+        "--floor": floor,
+        "--marginal": lambda: rng.choice(
+            (f"frechet:{alpha!r}", "gumbel", f"reverse-weibull:{alpha!r}")),
+        "--dependence": lambda: rng.choice(("none", "independence", "complete")),
+        "--triple": lambda: rng.choice(shaped),
+        "--base": lambda: rng.choice(shaped),
+    }
+    values = {}
+    for flag in experiment.flags:
+        if flag.name != "--nu" or family == "mittag-leffler":
+            values[flag.name] = draw[flag.name]()
+    return list(key) + ["--seed", str(rng.randrange(2**64))] + [
+        tok for item in values.items() for tok in item]
+
+
+def test_interior_flag_sweep(tmp_path, capsys):
+    # inside every documented domain a run passes or fails its check: no refusal, no warning,
+    # no NaN or infinite cell, even at shapes to 3e15 and indices n beyond 10^7
+    rng = random.Random(INTERIOR_SEED)
+    cases = [interior_case(rng, key, experiment)
+             for _ in range(INTERIOR_CASES) for key, experiment in EXPERIMENTS.items()]
+    assert max(int(c[c.index("--n") + 1]) for c in cases if c[:2] == ["verify", "thm34"]) > 10**7
+    problems = sweep_problems(cases, tmp_path, capsys, (0, 1))
     assert not problems, "\n".join(f"{' '.join(argv)}: {what}" for argv, what in problems)

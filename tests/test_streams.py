@@ -71,3 +71,19 @@ def test_generators_and_exponentials_come_from_streams_only():
                     assert path.name == "streams.py" and id(node) in inside, (
                         f"{path.name}:{node.lineno} draws exponentials outside open_exponential"
                     )
+
+
+def test_float_range_is_decided_in_util_only():
+    # _util.in_floats is the one refusal of a value beyond the float range: no module reads the
+    # float limits itself, and no computation raises on overflow for a caller to catch
+    for path in sorted(Path(randmax.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr == "finfo":
+                assert path.name == "_util.py", f"{where} reads np.finfo"
+            if isinstance(node, ast.Name):
+                assert node.id not in ("FloatingPointError", "OverflowError"), f"{where} {node.id}"
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate":
+                values = [a.value for a in node.args] + [k.value for k in node.keywords]
+                assert not any(isinstance(v, ast.Constant) and v.value == "raise"
+                               for v in values), f"{where} makes numpy raise"
