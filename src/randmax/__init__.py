@@ -28,13 +28,7 @@ from .extremal_proc import (
     simulate_path,
     simulate_path_columns,
 )
-from .lt_families import (
-    CountScheme,
-    Degenerate,
-    Geometric,
-    MittagLeffler,
-    sample_positive_stable,
-)
+from .lt_families import CountScheme, Degenerate, Geometric, MittagLeffler
 from .nmid_compose import (
     NMaxStableLaw,
     mixture_cdf,

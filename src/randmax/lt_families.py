@@ -9,14 +9,17 @@ N_theta with that p.g.f., and the mixing variable U whose Laplace
 transform is phi (the weak limit of theta*N_theta as theta drops to 0).
 The survival forms keep their digits where phi(theta*s) rounds to 1, so
 the identities stay exact as theta drops to the smallest normal float,
-below which theta is refused.  A count index, mixer draw or stable draw
-outside the normal floats raises ``DomainError`` through ``_util.in_floats``.
+below which theta is refused.  A count index or mixer draw outside the
+normal floats raises ``DomainError`` through ``_util.in_floats``.
 
 Three closed-form families are provided:
 
 * ``Geometric``      phi(s) = 1/(1+s),     1 - phi = s/(1+s),        U a unit-mean exponential
-* ``MittagLeffler``  phi(s) = 1/(1+s^nu),  1 - phi = s^nu/(1+s^nu),  U = E^{1/nu} * S_nu
+* ``MittagLeffler``  phi(s) = 1/(1+s^nu),  1 - phi = s^nu/(1+s^nu),  U = E * r(V)^{1/nu}
 * ``Degenerate``     phi(s) = exp(-s),     1 - phi = -expm1(-s),     U = 1, N_theta = 1/theta
+
+with E a unit exponential, V uniform on (0, 1) and
+r(v) = sin(nu pi (1 - v)) / sin(nu pi v).
 
 No numerical Poincare solving is attempted; the identity is verified for
 the shipped closed forms by the test suite.
@@ -29,7 +32,7 @@ import numpy as np
 from ._util import EPS, TINY, in_floats
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
-from .streams import open_exponential, open_uniform
+from .streams import open_uniform
 
 
 class LaplaceFamily:
@@ -196,12 +199,14 @@ class MittagLeffler(Geometric):
             return v ** (1.0 / self.nu)
 
     def sample_mixer(self, rng, size):
-        # U = E^{1/nu} * S_nu mixes a unit exponential with a positive
-        # nu-stable factor; its Laplace transform is 1/(1+s^nu).
-        e = open_exponential(rng, size)
-        stable = sample_positive_stable(self.nu, rng, size)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            return in_floats(np.power(e, 1.0 / self.nu) * stable, "Mittag-Leffler mixer draw")
+        # E the geometric mixer (Kozubowski and Rachev 1999; Fulger, Scalas and Germano 2008);
+        # 1 - V is exact where V >= 1/2.  A sine rounds to 0 only at a subnormal nu; that and
+        # the law's own overflow and underflow leave the floats, and are refused below
+        e = super().sample_mixer(rng, size)
+        u = open_uniform(rng, size)
+        with np.errstate(all="ignore"):
+            ratio = np.sin(np.pi * self.nu * (1.0 - u)) / np.sin(np.pi * self.nu * u)
+            return in_floats(e * ratio ** (1.0 / self.nu), "Mittag-Leffler mixer draw")
 
     def __repr__(self):
         return f"MittagLeffler(nu={self.nu!r})"
@@ -272,28 +277,6 @@ def _geometric_counts(p, rng, size):
             f"geometric count with success probability {p:g} exceeds the int64 range"
         )
     return k.astype(np.int64)
-
-
-def sample_positive_stable(nu, rng, size):
-    """Draw a positive nu-stable variable with Laplace transform exp(-s^nu).
-
-    Kanter's construction (Kanter 1975; Chambers, Mallows and Stuck 1976):
-    with W uniform on (0, pi) and E a unit exponential,
-    ``sin(nu W) / sin(W)^(1/nu) * (sin((1-nu) W) / E)^((1-nu)/nu)``.  This
-    product form equals ``(a(W)/E)^((1-nu)/nu)`` with
-    ``a(w) = (sin(nu w)^nu sin((1-nu) w)^(1-nu) / sin(w))^(1/(1-nu))``, but
-    forms no ``a(W)``, which overflows for nu near 1.
-    """
-    if not 0.0 < nu < 1.0:
-        raise ConfigurationError(f"stable order must be in (0, 1), got {nu}")
-    w = np.pi * open_uniform(rng, size)  # W = 0 would give sin(0)/sin(0)
-    e = open_exponential(rng, size)
-    # an overflow, a division by 0 and inf * 0 leave the floats, and are refused below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draws = np.sin(nu * w) / np.sin(w) ** (1.0 / nu) * (
-            np.sin((1.0 - nu) * w) / e
-        ) ** ((1.0 - nu) / nu)
-    return in_floats(draws, f"positive {nu:g}-stable draw")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ generator whose 256-bit counter starts at ``i * 2**128``.  A chunk holds
 ``CHUNK_DRAWS`` (10 000) draws or ``CHUNK_PATHS`` (1600) paths, so the
 produced numbers depend only on the seed.  Every chunk runs on the calling
 thread, in order.  Only this module builds generators, and only
-``open_exponential`` draws exponentials.
+``open_exponential`` calls numpy's exponential sampler; the geometric
+mixer draws its unit exponential by inverting ``open_uniform`` instead.
 """
 
 import numpy as np
@@ -87,4 +88,4 @@ def chunked_draws(seed, n, draw):
 
 def chunked_list(seed, n, build):
     """``[build(rng, m) for each chunk of CHUNK_PATHS]``, in order; the last chunk holds the rest."""
-    return [build(rng, m) for _, rng, m in _chunks(seed, n, CHUNK_PATHS, "count")]
+    return [build(rng, m) for _, rng, m in _chunks(seed, n, CHUNK_PATHS, "path count")]

@@ -7,13 +7,15 @@ forms those replace: the p.g.f. at ``u`` rather than at the survival
 ``1 - u``, base draws by quantile inversion and the slow max-of-N
 construction, a marginal's quantile ``vinv(-log u)``, the mean of a count,
 the extremal marginal ``exp(-t V)`` and each path's state at the horizon,
-a law's max-stability norming, and the CSV text in one string.  Tests
-compare the library against them.
+a law's max-stability norming, the CSV text in one string, and Kanter's
+positive-stable sampler, from which ``E^(1/nu) * S`` builds the
+Mittag-Leffler mixer the slow way.  Tests compare the library against them.
 """
 
 import numpy as np
 
 from randmax import (
+    ConfigurationError,
     Degenerate,
     DomainError,
     Geometric,
@@ -22,7 +24,8 @@ from randmax import (
     StdUniform,
     UnitExponential,
 )
-from randmax._util import apply_scalar
+from randmax._util import apply_scalar, in_floats
+from randmax.streams import open_exponential, open_uniform
 
 
 def pgf(family, theta, u):
@@ -102,3 +105,25 @@ def norming(law, t):
 def csv_text(table):
     """The whole CSV text of ``table``, as ``emit_csv`` writes it."""
     return b"".join(table.csv_blocks()).decode("utf-8")
+
+
+def sample_positive_stable(nu, rng, size):
+    """Draw a positive nu-stable variable with Laplace transform exp(-s^nu).
+
+    Kanter's construction (Kanter 1975; Chambers, Mallows and Stuck 1976):
+    with W uniform on (0, pi) and E a unit exponential,
+    ``sin(nu W) / sin(W)^(1/nu) * (sin((1-nu) W) / E)^((1-nu)/nu)``.  This
+    product form equals ``(a(W)/E)^((1-nu)/nu)`` with
+    ``a(w) = (sin(nu w)^nu sin((1-nu) w)^(1-nu) / sin(w))^(1/(1-nu))``, but
+    forms no ``a(W)``, which overflows for nu near 1.
+    """
+    if not 0.0 < nu < 1.0:
+        raise ConfigurationError(f"stable order must be in (0, 1), got {nu}")
+    w = np.pi * open_uniform(rng, size)  # W = 0 would give sin(0)/sin(0)
+    e = open_exponential(rng, size)
+    # an overflow, a division by 0 and inf * 0 leave the floats, and are refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        draws = np.sin(nu * w) / np.sin(w) ** (1.0 / nu) * (
+            np.sin((1.0 - nu) * w) / e
+        ) ** ((1.0 - nu) / nu)
+    return in_floats(draws, f"positive {nu:g}-stable draw")

@@ -501,8 +501,8 @@ def test_out_naming_a_file_exits_one(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_mittag_leffler_subordination_near_order_one_passes(tmp_path, monkeypatch):
-    # at nu = 0.99 some draws' Kanter factor a(W) = r^(1/(1-nu)) lies beyond the floats, though
-    # the draw does not
+    # near nu = 1 the mixer's sine ratio sin(nu pi (1 - V)) / sin(nu pi V) spans many decades
+    # before its power 1/nu; no mixer draw or level may warn or leave the floats
     monkeypatch.setenv("RANDMAX_SEED", "0")
     code, out = run(["verify", "thm32", "--family", "mittag-leffler", "--nu", "0.99"], tmp_path)
     assert code == 0
@@ -605,6 +605,8 @@ GRID = "the grid of {} lies beyond the float range"
     (["verify", "thm31", "--marginal", "reverse-weibull:1e16"],
      GRID.format("ReverseWeibull(alpha=1e+16)")),
     (["verify", "lemma12", "--family", "mittag-leffler"], "requires --nu in (0, 1)"),
+    (["extremal", "path", "--paths", "0"], "error: path count must be positive, got 0"),
+    (["extremal", "path", "--paths", "-3"], "error: path count must be positive, got -3"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)

@@ -12,14 +12,17 @@ from randmax import (
     Frechet,
     Geometric,
     MittagLeffler,
+    ks_critical,
+    ks_two_sample,
     run_lemma12,
-    sample_positive_stable,
     sample_Y_at_time,
     simulate_path,
     substream,
     univariate,
 )
-from oracles import count_mean, pgf, scheme_pgf
+from randmax.streams import open_exponential
+
+from oracles import count_mean, pgf, sample_positive_stable, scheme_pgf
 
 FAMILIES = [Geometric(), MittagLeffler(0.5), Degenerate()]
 THETA_GRID = (0.5, 0.1, 0.01)
@@ -266,6 +269,34 @@ def test_mixer_empirical_laplace_transform():
             assert abs(np.exp(-s * u).mean() - family.lt(s)) < 0.01, family.name
 
 
+def slow_mittag_leffler_mixer(nu, rng, size):
+    """E^(1/nu) * S, with E a unit exponential and S Kanter's positive nu-stable draw."""
+    return open_exponential(rng, size) ** (1.0 / nu) * sample_positive_stable(nu, rng, size)
+
+
+def test_mittag_leffler_mixer_matches_the_stable_construction():
+    # the sine-ratio form against the slow construction E^(1/nu) * S, and against phi itself
+    n = 200_000
+    critical = ks_critical(n // 2)  # two samples of n draws weigh as n * n / (n + n) draws
+    for seed, nu in enumerate((0.1, 0.5, 0.9, 0.99)):
+        family = MittagLeffler(nu)
+        draws = family.sample_mixer(substream(20 + seed), n)
+        slow = slow_mittag_leffler_mixer(nu, substream(30 + seed), n)
+        assert ks_two_sample(draws, slow) < critical, nu
+        for s in (0.1, 1.0, 10.0):
+            values = np.exp(-s * draws)
+            se = values.std() / math.sqrt(n)
+            assert abs(values.mean() - family.lt(s)) < 4.0 * se, (nu, s)
+
+
+def test_mittag_leffler_mixer_near_order_one_is_finite():
+    for nu in (0.999, 1.0 - 2.0**-20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = MittagLeffler(nu).sample_mixer(substream(11), 100_000)
+        assert np.all(np.isfinite(draws) & (draws > 0.0)), nu
+
+
 def test_positive_stable_transform():
     for nu in (0.3, 0.7):
         draws = sample_positive_stable(nu, substream(9), 200_000)
@@ -292,9 +323,11 @@ def test_positive_stable_near_order_one():
 
 
 def test_mixer_draws_beyond_the_float_range_are_refused():
-    # E^(1/nu) * S at nu = 1e-16 is inf * 0 or 0 * inf; S itself leaves the floats at nu = 0.01
-    with pytest.raises(DomainError, match="float range"):
-        MittagLeffler(1e-16).sample_mixer(substream(3), 5)
+    # r(V)^(1/nu) is 0 or inf at nu = 1e-16, and at a subnormal nu a sine rounds to 0 as well;
+    # Kanter's S leaves the floats at nu = 0.01
+    for nu in (1e-16, 5e-324):
+        with pytest.raises(DomainError, match="^Mittag-Leffler mixer draw lies beyond the float"):
+            MittagLeffler(nu).sample_mixer(substream(3), 5)
     with pytest.raises(DomainError, match="float range"):
         sample_positive_stable(0.01, substream(3), 20_000)
     # theta^nu rounds to 1 at nu = 1e-300, where every count is 1
@@ -304,8 +337,8 @@ def test_mixer_draws_beyond_the_float_range_are_refused():
 
 
 class ZeroUniforms(np.random.Generator):
-    """A generator whose uniforms are all 0.0, the one value Kanter's W and the geometric mixer's
-    uniform must avoid."""
+    """A generator whose uniforms are all 0.0, the one value Kanter's W and the mixers' uniforms
+    must avoid."""
 
     def random(self, size=None):
         return np.zeros(size) if size is not None else 0.0
@@ -316,6 +349,9 @@ def test_positive_stable_at_zero_uniform_is_finite():
     for nu in (0.3, 0.5, 0.7):
         assert np.isfinite(sample_positive_stable(nu, rng, 1)).all()
         assert np.all(np.isfinite(sample_positive_stable(nu, rng, 4)))
+        # the mixer's V = 2^-54 gives its largest sine ratio, about 1/(nu pi V)
+        draws = MittagLeffler(nu).sample_mixer(rng, 4)
+        assert np.all(np.isfinite(draws) & (draws > 0.0)), nu
 
 
 def test_geometric_mixer_at_zero_uniform_is_a_positive_time():
