@@ -4,10 +4,13 @@ The standard univariate max-stable marginals (Frechet, Gumbel, reverse
 Weibull), each its type up to an affine norming and each evaluated on the
 grid where V takes a fixed set of levels, bivariate dependence through
 closed-form exponent measures, Poisson-maximum distribution functions,
-and the three base laws of the convergence experiments.  Each base law G
-is its own attraction triple: it carries its normed law ``normed(n)``,
-that of (X - b_n)/a_n, and its max-stable ``target`` H, and
-``normed_base`` evaluates the normed survival on the target's grid.
+and the base laws of the convergence experiments.  Each base law G is the
+generalized Pareto law of its max-stable ``target`` H = exp(-V),
+1 - G(x) = min(V(x - b), 1) with b = 0, 0, 1 for the Pareto, exponential
+and uniform laws (Balkema and de Haan 1974; Pickands 1975).  So it is its
+own attraction triple: its normed law ``normed(n)``, that of
+(X - b_n)/a_n, has survival min(V/n, 1) and quantile vinv(n s), and
+``normed_base`` evaluates that survival on the target's grid.
 
 A max-stable law H is represented through its exponent function
 V(x) = mu([l, x]^c), so H(x) = exp(-V(x)) and coordinates below the lower
@@ -32,14 +35,16 @@ LOGISTIC = "logistic"
 # ---------------------------------------------------------------------------
 
 
-class _Marginal:
-    """A max-stable marginal H = exp(-v); ``cdf`` and ``grid`` follow from ``v`` and ``vinv``.
-
-    Every ``v`` maps NaN to NaN, so a NaN argument never reads as a probability.
-    """
+class _ExponentLaw:
+    """A d.f. exp(-v); every ``v`` maps NaN to NaN, so a NaN never reads as a probability."""
 
     def cdf(self, x):
-        return apply_scalar(x, lambda z: np.exp(-self.v(z)))
+        v = self.v(x)
+        return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
+
+
+class _Marginal(_ExponentLaw):
+    """A max-stable marginal H = exp(-v); ``cdf`` and ``grid`` follow from ``v`` and ``vinv``."""
 
     @property
     def grid(self):
@@ -158,7 +163,7 @@ MARGINAL_TYPES = (Frechet, Gumbel, ReverseWeibull)
 
 
 @dataclass(frozen=True)
-class MaxStableLaw:
+class MaxStableLaw(_ExponentLaw):
     """A d-dimensional max-stable d.f. H(x) = exp(-V(x)).
 
     For d = 2 the dependence structure is one of three closed forms:
@@ -221,10 +226,6 @@ class MaxStableLaw:
             out = (parts[..., 0] ** (1.0 / self.r) + parts[..., 1] ** (1.0 / self.r)) ** self.r
         return float(out[0]) if x.ndim == 1 else out
 
-    def cdf(self, x):
-        v = self.v(x)
-        return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
-
 
 def univariate(marginal):
     """Wrap one marginal as a dimension-1 max-stable law."""
@@ -243,101 +244,64 @@ def standard_points(law):
 
 
 # ---------------------------------------------------------------------------
-# Base laws, normed base laws and Poisson maxima
+# Base laws and Poisson maxima
 # ---------------------------------------------------------------------------
 
-# A base law gives G (``cdf``), its survival quantile ``isf`` and its normed
-# law ``normed(n)`` in closed form, so no point a_n x + b_n or raw maximum is formed.
-
 
 @dataclass(frozen=True)
-class NormedBase:
-    """The law of (X - b_n)/a_n: a closed survival form ``survival`` and its inverse ``isf``."""
+class BaseLaw:
+    """The generalized Pareto law 1 - G(x) = min(V(x - shift)/n, 1) of a target H = exp(-V).
 
-    survival: object
-    isf: object
+    At n = 1 it is attracted to ``target``, and ``normed(n)``, the law of
+    (X - b_n)/a_n, has survival min(V/n, 1) and quantile ``vinv(n s)``, so
+    no point a_n x + b_n is formed and the survival keeps its digits where G
+    rounds to 1.
+    """
+
+    name: str
+    target: object
+    shift: float = 0.0
+    n: int = 1
 
     def sf(self, x):
-        with np.errstate(divide="ignore", over="ignore"):  # a form overflows to survival 1
-            return apply_scalar(x, self.survival)
-
-
-@dataclass(frozen=True)
-class Pareto:
-    """G(x) = 1 - x^(-alpha) on [1, inf); attracted to Frechet(alpha)."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        _check_positive("Pareto exponent", self.alpha)
-
-    @property
-    def name(self):
-        return f"pareto({self.alpha:g})"
-
-    def cdf(self, x):
         def f(z):
-            out = np.zeros(z.shape)
-            above = z >= 1.0
-            out[above] = 1.0 - z[above] ** -self.alpha
-            return out
+            with np.errstate(divide="ignore", over="ignore"):  # V overflows to survival 1
+                return np.minimum(self.target.v(z - self.shift) / self.n, 1.0)
 
         return apply_scalar(x, f)
 
+    def cdf(self, x):
+        return 1.0 - self.sf(x)
+
     def isf(self, s):
-        with np.errstate(over="ignore"):
-            x = apply_scalar(s, lambda s: s ** (-1.0 / self.alpha))
-        # a normed quantile isf(n s) at n s > 1 may underflow to 0, the target's lower corner
-        return in_floats(x, f"{self.name} quantile", low=0.0)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            x = self.shift + self.target.vinv(self.n * s)
+        return in_floats(x, f"{self.name} quantile", low=-MAX)
 
     def normed(self, n):
-        return NormedBase(
-            lambda z: np.minimum(np.where(z <= 0.0, 0.0, z) ** -self.alpha / n, 1.0),
-            lambda s: self.isf(n * s),
-        )
-
-    @property
-    def target(self):
-        return Frechet(self.alpha)
+        return BaseLaw(self.name, self.target, 0.0, n)
 
 
-@dataclass(frozen=True)
-class UnitExponential:
+class Pareto(BaseLaw):
+    """G(x) = 1 - x^(-alpha) on [1, inf); attracted to Frechet(alpha)."""
+
+    def __init__(self, alpha=1.0):
+        _check_positive("Pareto exponent", alpha)
+        super().__init__(f"pareto({alpha:g})", Frechet(alpha))
+
+
+class UnitExponential(BaseLaw):
     """G(x) = 1 - exp(-x) on [0, inf); attracted to Gumbel."""
 
-    name = "exponential"
-
-    def cdf(self, x):
-        return apply_scalar(x, lambda z: np.where(z > 0.0, -np.expm1(-z), 0.0))
-
-    def isf(self, s):
-        return apply_scalar(s, lambda s: -np.log(s))
-
-    def normed(self, n):
-        return NormedBase(lambda z: np.minimum(np.exp(-z) / n, 1.0), lambda s: self.isf(n * s))
-
-    target = Gumbel()
+    def __init__(self):
+        super().__init__("exponential", Gumbel())
 
 
-@dataclass(frozen=True)
-class StdUniform:
+class StdUniform(BaseLaw):
     """G(x) = x on [0, 1]; attracted to the reverse Weibull of order 1."""
 
-    name = "uniform"
-
-    def cdf(self, x):
-        return apply_scalar(x, lambda z: np.clip(z, 0.0, 1.0))
-
-    def isf(self, s):
-        return apply_scalar(s, lambda s: 1.0 - s)
-
-    def normed(self, n):
-        return NormedBase(lambda z: np.clip(-z / n, 0.0, 1.0), lambda s: -n * s)
-
-    target = ReverseWeibull(1.0)
-
-
-BASE_TYPES = (Pareto, UnitExponential, StdUniform)
+    def __init__(self):
+        super().__init__("uniform", ReverseWeibull(1.0), 1.0)
 
 
 def normed_base(base, n):
@@ -350,7 +314,7 @@ def normed_base(base, n):
         raise DomainError(f"n must be >= 1, got {n}")
     if n > MAX:  # a Python int compares exactly
         raise DomainError(f"n beyond the float range (above {MAX:.6g})")
-    if not isinstance(base, BASE_TYPES):
+    if not isinstance(base, BaseLaw):
         raise ConfigurationError(f"unsupported base law: {base!r}")
     pts = base.target.grid
     return base.normed(n).sf(pts), base.target.v(pts)
@@ -389,21 +353,15 @@ def standard_triple(name, alpha=1.0):
 
 
 @dataclass(frozen=True)
-class PoissonMax:
+class PoissonMax(_ExponentLaw):
     """The max-infinitely-divisible d.f. exp(-a (1 - G(x))) of a Poisson(a) maximum."""
 
     rate: float
     base: object
 
     def __post_init__(self):
-        if self.rate <= 0.0:
-            raise DomainError(f"Poisson rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < np.inf:  # also rejects NaN
+            raise DomainError(f"Poisson rate must be finite and positive, got {self.rate}")
 
     def v(self, x):
-        g = self.base.cdf(x)
-        scaled = self.rate * (1.0 - np.asarray(g, dtype=float))
-        return float(scaled) if np.isscalar(g) else scaled
-
-    def cdf(self, x):
-        v = self.v(x)
-        return float(np.exp(-v)) if np.isscalar(v) else np.exp(-v)
+        return self.rate * self.base.sf(x)

@@ -165,10 +165,11 @@ class Geometric(LaplaceFamily):
         return -np.log1p(-open_uniform(rng, size))
 
     def mixer_cdf(self, x):
-        return _apply(x, lambda arr: np.where(arr > 0.0, -np.expm1(-arr), 0.0))
+        # 0 below the support; np.maximum keeps a NaN a NaN
+        return _apply(x, lambda arr: -np.expm1(-np.maximum(arr, 0.0)))
 
     def mixer_density(self, t):
-        return _apply(t, lambda arr: np.where(arr >= 0.0, np.exp(-arr), 0.0))
+        return _apply(t, lambda arr: np.exp(-np.where(arr < 0.0, np.inf, arr)))
 
 
 class MittagLeffler(Geometric):
@@ -250,7 +251,7 @@ class Degenerate(LaplaceFamily):
         return np.ones(size)
 
     def mixer_cdf(self, x):
-        return _apply(x, lambda arr: (arr >= 1.0).astype(float))
+        return _apply(x, lambda arr: np.heaviside(arr - 1.0, 1.0))  # NaN stays NaN
 
 
 def _transform(s, func):

@@ -63,6 +63,8 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     unwrapped = {
         ("Geometric", "lt_inv"), ("MittagLeffler", "lt_inv"), ("Degenerate", "lt_inv"),  # deleted
         ("Frechet", "cdf"), ("Gumbel", "cdf"), ("ReverseWeibull", "cdf"),  # inherited
+        ("MaxStableLaw", "cdf"),  # inherited: exp(-v)
+        ("Pareto", "cdf"), ("UnitExponential", "cdf"), ("StdUniform", "cdf"),  # from BaseLaw
         ("MittagLeffler", "lt"), ("MittagLeffler", "sample_count"),  # inherited from Geometric
         ("MaxStableLaw", "vinv"),  # never defined
         # moved to tests/oracles.py: only the tests call them

@@ -28,6 +28,7 @@ from randmax import (
     univariate,
 )
 from randmax import evd_core
+from randmax._util import EPS, MAX
 from randmax._csvtext import format_value
 from oracles import marginal_ppf, norming, ppf, sample_base
 
@@ -170,6 +171,20 @@ def test_poisson_max_cdf():
         PoissonMax(0.0, base).cdf(1.0)
     with pytest.raises(DomainError):
         PoissonMax(-1.0, base).cdf(1.0)
+    with pytest.raises(DomainError, match="finite and positive"):
+        PoissonMax(math.nan, base).cdf(1.0)
+    with pytest.raises(DomainError, match="finite and positive"):
+        PoissonMax(math.inf, StdUniform()).cdf(1.0)
+
+
+def test_nan_base_point_is_no_probability():
+    for law in (Pareto(1.0), UnitExponential(), StdUniform(), PoissonMax(2.0, Pareto(1.0))):
+        assert math.isnan(law.cdf(math.nan)), law
+
+
+def test_poisson_max_exponent_in_survival_space():
+    # 1 - G(1e17) rounds to 0 in probability space; the survival keeps it
+    assert abs(PoissonMax(2.0, Pareto(1.0)).v(1e17) - 2e-17) <= math.ulp(2e-17)
 
 
 def test_poisson_max_approaches_frechet():
@@ -230,6 +245,75 @@ def test_normed_law_matches_the_raw_normed_form(base, norming, raw_sf, n):
     np.testing.assert_allclose(law.sf(x), raw_sf(a * x + b), rtol=1e-12, atol=0.0)
     assert law.sf(-1e6) == 1.0  # below the support, or an overflowing form, with no warning
     assert math.isnan(law.sf(math.nan))
+
+
+def _pareto_forms(alpha):
+    return (
+        lambda z: np.where(z >= 1.0, 1.0 - z ** -alpha, 0.0),
+        lambda s: s ** (-1.0 / alpha),
+        lambda n, z: np.minimum(np.where(z <= 0.0, 0.0, z) ** -alpha / n, 1.0),
+        lambda n, s: (n * s) ** (-1.0 / alpha),
+    )
+
+
+# each base law with the hand-written forms it had before it was derived from its target:
+# cdf G(z), quantile isf(s), and the normed law's survival and quantile at index n
+CLOSED_FORMS = [
+    (Pareto(1.0), *_pareto_forms(1.0)),
+    (Pareto(2.5), *_pareto_forms(2.5)),
+    (UnitExponential(),
+     lambda z: np.where(z > 0.0, -np.expm1(-z), 0.0),
+     lambda s: -np.log(s),
+     lambda n, z: np.minimum(np.exp(-z) / n, 1.0),
+     lambda n, s: -np.log(n * s)),
+    (StdUniform(),
+     lambda z: np.clip(z, 0.0, 1.0),
+     lambda s: 1.0 - s,
+     lambda n, z: np.clip(-z / n, 0.0, 1.0),
+     lambda n, s: -n * s),
+]
+
+
+def _edge_points(n):
+    """Below each normed support, its endpoints, the edges of V's domain, +-inf and NaN."""
+    return [-math.inf, -1e300, -n - 1.0, -float(n), -math.log(n) - 1.0, -math.log(n), -1.0,
+            -0.0, 0.0, n ** -1.0, n ** -0.4, 0.5, 1.0, 2.0, 1e300, math.inf, math.nan]
+
+
+def _refused_or_equal(law_isf, form, s):
+    """``law_isf`` equals ``form`` where the form is a float, and refuses where it is not."""
+    with np.errstate(all="ignore"):  # a negative level is no survival; only the value is held
+        expected = form(np.array([s]))[0]  # array arithmetic, as the library uses
+        if abs(expected) <= MAX:
+            assert np.array_equal(law_isf(s), expected), s
+            return
+        with pytest.raises(DomainError, match="quantile lies beyond the float range"):
+            law_isf(s)
+
+
+@pytest.mark.parametrize("n", [1, 10, 10_000, 10**16])
+@pytest.mark.parametrize("base, cdf, isf, normed_sf, normed_isf", CLOSED_FORMS,
+                         ids=[case[0].name for case in CLOSED_FORMS])
+def test_base_law_matches_its_closed_forms(base, cdf, isf, normed_sf, normed_isf, n):
+    rng = np.random.default_rng(n)
+    law = base.normed(n)
+    x = np.concatenate([10.0 * rng.standard_normal(1000), 10.0 ** rng.uniform(-20, 20, 1000),
+                        -(10.0 ** rng.uniform(-20, 20, 1000)), _edge_points(n)])
+    s = np.concatenate([rng.random(1000), 10.0 ** rng.uniform(-300, 0, 1000)])
+    with np.errstate(all="ignore"):  # the forms overflow; the library must not warn
+        expected_sf, expected_isf, expected_normed_isf = normed_sf(n, x), isf(s), normed_isf(n, s)
+        expected_cdf = cdf(x)
+    assert np.array_equal(law.sf(x), expected_sf, equal_nan=True)
+    assert np.array_equal(base.isf(s), expected_isf)
+    assert np.array_equal(law.isf(s), expected_normed_isf)
+    # 1 - S rounds where -expm1 or x does not, and a NaN is now no probability
+    g = base.cdf(x)
+    nan = np.isnan(x)
+    np.testing.assert_allclose(g[~nan], expected_cdf[~nan], rtol=0.0, atol=EPS)
+    assert np.isnan(g[nan]).all()
+    for level in (-0.5, -math.inf, 0.0, 1e-300, 0.5, 1.0, 2.0, math.inf, math.nan):
+        _refused_or_equal(base.isf, isf, level)
+        _refused_or_equal(law.isf, lambda s: normed_isf(n, s), level)
 
 
 def test_doa_gap_exponential_grid():

@@ -395,6 +395,16 @@ def test_mixer_cdf_and_unsupported():
         MittagLeffler(0.5).mixer_density(1.0)
 
 
+@pytest.mark.parametrize("form", [
+    Geometric().mixer_cdf, Geometric().mixer_density, Degenerate().mixer_cdf,
+], ids=["geometric-cdf", "geometric-density", "degenerate-cdf"])
+def test_mixer_forms_map_nan_to_nan(form):
+    assert math.isnan(form(math.nan))
+    out = form(np.array([-math.inf, -1e300, math.nan, 0.5, 1.0, math.inf]))
+    assert math.isnan(out[2]) and not np.isnan(np.delete(out, 2)).any()
+    assert out[0] == out[1] == 0.0  # below the support, with no overflow warning
+
+
 # ---------------------------------------------------------------------------
 # scaled-count convergence
 # ---------------------------------------------------------------------------
