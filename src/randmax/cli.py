@@ -86,11 +86,18 @@ def _parse_shape(spec, param):
         raise ConfigurationError(f"expected a number after ':' in {spec!r}") from None
 
 
+def _no_shape(spec, param):
+    """Refuse a number after ``kind:`` in ``spec`` where its law takes none."""
+    if param:
+        raise ConfigurationError(f"{spec!r} gives a shape to a law that takes none")
+
+
 def parse_marginal(spec):
     kind, _, param = spec.lower().partition(":")
     if kind == "frechet":
         return Frechet(_parse_shape(spec, param))
     if kind == "gumbel":
+        _no_shape(spec, param)
         return Gumbel()
     if kind in ("reverse-weibull", "weibull"):
         return ReverseWeibull(_parse_shape(spec, param))
@@ -113,6 +120,8 @@ def make_law(args):
 
 def parse_base(spec):
     kind, _, param = spec.lower().partition(":")
+    if kind in ("exponential", "uniform"):
+        _no_shape(spec, param)
     return standard_triple(kind, _parse_shape(spec, param))
 
 

@@ -274,9 +274,10 @@ class BaseLaw:
         return 1.0 - self.sf(x)
 
     def isf(self, s):
+        # the index and shift apply only where they act; no vinv returns -0, so 0 + x changes no bit
         with np.errstate(over="ignore"):  # an overflow is refused below
-            x = self.shift + self.target.vinv(self.n * s)
-        return in_floats(x, f"{self.name} quantile", low=-MAX)
+            x = self.target.vinv(s if self.n == 1 else self.n * s)
+        return in_floats(x + self.shift if self.shift else x, f"{self.name} quantile", low=-MAX)
 
     def normed(self, n):
         return BaseLaw(self.name, self.target, 0.0, n)

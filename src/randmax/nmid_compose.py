@@ -4,9 +4,9 @@ A count-mixed max-stable law pairs a Laplace-transform family (phi and its
 count scheme) with a max-stable base H.  The composed d.f. is evaluated
 through the exponent function, F(x) = phi(V(x)), which stays accurate in
 the tails where H(x) underflows.  The module also provides the quadrature
-oracle integral H(x)^t dLambda(t) against the mixer density, exact sampling
-of random maxima (the count first, then the maximum by inverting G^N in
-survival space), and the same-type decomposition F = P_theta(F_theta).
+oracle integral H(x)^t dLambda(t) against the mixer density, one survival
+sampler (the count first, then G^N inverted in survival space) whose base
+quantiles are the random maxima, and the same-type decomposition.
 """
 
 from dataclasses import dataclass
@@ -84,30 +84,30 @@ def mixture_cdf(law, x):
     return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
-def _max_survival(u, counts):
-    """Survival 1 - G(M) of the maximum M of ``counts`` draws with G(M)^counts = u.
+def max_survivals(scheme, rng, shape):
+    """Survivals S = 1 - G(M) of maxima M of N_theta base draws, of ``shape`` (size,) or (size, d).
 
-    ``-expm1(log(u)/N)`` keeps full precision where ``1 - u**(1/N)`` would
-    cancel; u = 0 gives survival 1, the lower endpoint of the base law.
+    The one place that fixes the stream order: a count per row, then the uniforms u = G(M)^N.
+    ``-expm1(log(u)/N)`` keeps the digits ``1 - u**(1/N)`` would cancel; u = 0 gives S = 1.
     """
+    counts = scheme.sample(rng, shape[0])
+    u = rng.random(shape)
     with np.errstate(divide="ignore"):
-        return -np.expm1(np.log(u) / counts)
+        return -np.expm1(np.log(u) / (counts if u.ndim == 1 else counts[:, None]))
 
 
 def sample_random_max(scheme, base, rng, size):
     """``size`` componentwise maxima of N_theta independent draws from ``base``.
 
-    The count is drawn first, then the maximum by inverting G^N in survival
-    space, so for every theta the sample has d.f. P_theta(G(x)) at a cost
-    independent of N.  A tuple base inverts each coordinate given the shared
-    count.  Count and maximum uniforms come from the same positions of the
-    stream at every theta, so smaller theta gives pathwise larger draws.
+    The base quantiles ``isf`` of ``max_survivals``, so for every theta the
+    sample has d.f. P_theta(G(x)) at a cost independent of N.  A tuple base
+    inverts each coordinate given the shared count.  The stream positions do
+    not depend on theta, so smaller theta gives pathwise larger draws.
     """
-    counts = scheme.sample(rng, size)
     if isinstance(base, tuple):
-        s = _max_survival(rng.random((size, len(base))), counts[:, None])
+        s = max_survivals(scheme, rng, (size, len(base)))
         return np.column_stack([b.isf(s[:, i]) for i, b in enumerate(base)])
-    return base.isf(_max_survival(rng.random(size), counts))
+    return base.isf(max_survivals(scheme, rng, (size,)))
 
 
 def sample_random_max_seeded(scheme, base, seed, n, threads=1):

@@ -12,7 +12,9 @@ import pytest
 
 import randmax.cli
 import randmax.streams
+import randmax.verify_harness
 from randmax.cli import COMMON, EXPERIMENTS, build_parser, emit_csv, main
+from randmax.lt_families import LaplaceFamily, MittagLeffler
 from randmax.verify_harness import CSV_BLOCK_ROWS, Table, format_value
 
 
@@ -96,6 +98,49 @@ def test_thm32_checks_levels_that_no_shape_rounds(tmp_path, capsys):
         assert code == 0, marginal
         distances |= {l for l in capsys.readouterr().out.splitlines() if l.startswith("distance")}
     assert len(distances) == 1
+
+
+THM34_FAMILIES = (("geometric",), ("mittag-leffler", "--nu", "0.5"), ("degenerate",))
+
+
+def test_thm34_checks_levels_that_no_shape_rounds(tmp_path, capsys):
+    # M <= x iff n S >= V(x): the KS check runs on the levels n S, which do not depend on the
+    # base, where the normed draws of a Pareto shape from 1e15 on round to a few hundred floats
+    # next to 1 (KS 0.0299 at 1e15 and 0.0808 at 3e15 with seed 1, against a bound of 0.0215)
+    for family in THM34_FAMILIES:
+        distances = set()
+        for triple in ("pareto:1", "pareto:1e14", "pareto:1e15", "pareto:3e15", "exponential",
+                       "uniform"):
+            argv = ["verify", "thm34", "--family", *family, "--triple", triple, "--seed", "1"]
+            code, _ = run(argv, tmp_path)
+            assert code == 0, (family, triple)
+            distances |= {l for l in capsys.readouterr().out.splitlines()
+                          if l.startswith("ks_distance")}
+        assert len(distances) == 1, family
+
+
+def _thm34_fails_its_ks_check(tmp_path, capsys, family):
+    code, _ = run(["verify", "thm34", "--family", *family, "--seed", "1"], tmp_path)
+    assert code == 1
+    summary = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines() if " = " in l)
+    bound = float(summary["ks_critical"]) + float(summary["allowance"])
+    assert float(summary["ks_distance"]) > bound, family
+
+
+@pytest.mark.parametrize("family", THM34_FAMILIES)
+def test_thm34_fails_on_inflated_survivals(tmp_path, capsys, monkeypatch, family):
+    # levels 1.2 n S: KS 0.0438 for geometric and Mittag-Leffler counts and 0.0719 for degenerate
+    survivals = randmax.verify_harness.max_survivals
+    monkeypatch.setattr(randmax.verify_harness, "max_survivals", lambda *a: 1.2 * survivals(*a))
+    _thm34_fails_its_ks_check(tmp_path, capsys, family)
+
+
+@pytest.mark.parametrize("family", THM34_FAMILIES)
+def test_thm34_fails_at_a_doubled_count_index(tmp_path, capsys, monkeypatch, family):
+    # success 2/n in place of 1/n: the sample and the random gap both leave the limit
+    monkeypatch.setattr(LaplaceFamily, "index", lambda self, n: 2.0 / n)
+    monkeypatch.setattr(MittagLeffler, "index", lambda self, n: (n / 2.0) ** (-1.0 / self.nu))
+    _thm34_fails_its_ks_check(tmp_path, capsys, family)
 
 
 def test_sample_randmax_degenerate(tmp_path):
@@ -609,12 +654,32 @@ GRID = "the grid of {} lies beyond the float range"
     (["verify", "lemma12", "--family", "mittag-leffler"], "requires --nu in (0, 1)"),
     (["extremal", "path", "--paths", "0"], "error: path count must be positive, got 0"),
     (["extremal", "path", "--paths", "-3"], "error: path count must be positive, got -3"),
+    # a law that takes no shape refuses one; it used to run as if the suffix were absent
+    (["table", "doa", "--triple", "exponential:5"], "'exponential:5' gives a shape"),
+    (["table", "doa", "--triple", "uniform:2"], "'uniform:2' gives a shape"),
+    (["verify", "thm32", "--marginal", "gumbel:xyz"], "'gumbel:xyz' gives a shape"),
+    (["sample", "extremal-marginal", "--marginal", "gumbel:7"], "'gumbel:7' gives a shape"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, spec", [
+    (["table", "doa"], "triple", "exponential:5"),
+    (["table", "doa"], "triple", "uniform:2"),
+    (["verify", "thm32"], "marginal", "gumbel:xyz"),
+    (["sample", "extremal-marginal"], "marginal", "gumbel:7"),
+])
+def test_shape_of_a_shapeless_law_exits_two_through_config(tmp_path, capsys, argv, key, spec):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={spec}\n")
+    code, out = run(argv + ["--config", str(cfg), "--seed", "1"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {spec!r} gives a shape to a law that takes none\n"
     assert not out.exists()
 
 

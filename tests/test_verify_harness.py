@@ -1,9 +1,12 @@
+import ast
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randmax.verify_harness
 from randmax import (
     ConfigurationError,
     Degenerate,
@@ -308,7 +311,7 @@ def test_run_thm34_pareto():
 
 
 def test_run_thm34_pareto_full_scale():
-    # the slow one: theta = 1e-4 means about 1e9 base draws behind m = 1e5
+    # the default index n = 1e4, with five times the default m
     report = run_thm34(GEOMETRIC, PARETO1, n=10_000, m=100_000, seed=71)
     stats = dict(report.stats)
     assert stats["ks_distance"] < 0.01
@@ -338,6 +341,17 @@ def test_run_thm34_degenerate_reduces_to_classical():
     stats = dict(report.stats)
     assert stats["tail_gap"] < 1e-12  # classical check with the exact tail
     assert report.passed
+
+
+def test_verifiers_never_invert_the_base():
+    # thm32 and thm34 run their KS checks on levels, which no shape rounds: no verifier may form
+    # a state through a base quantile only for the check to map it back through V
+    path = Path(randmax.verify_harness.__file__)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = next((getattr(node, key) for key in ("attr", "id", "name") if hasattr(node, key)), None)
+        assert name not in ("isf", "sample_random_max", "sample_random_max_seeded"), (
+            f"{path.name}:{getattr(node, 'lineno', '?')} reaches {name}"
+        )
 
 
 @pytest.mark.parametrize("base", [PARETO1, EXPONENTIAL, UNIFORM], ids=lambda base: base.name)
