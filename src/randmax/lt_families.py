@@ -4,8 +4,9 @@ Each family packages a Laplace transform phi that solves the Poincare
 equation phi(s) = P(phi(theta*s)) together with everything the transform
 induces: its survival form 1 - phi and the inverse phi^{-1}(1 - s) of
 that, the probability generating function in survival space
-P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta), the positive integer count
-N_theta with that p.g.f., and the mixing variable U whose Laplace
+P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta) and its inverse in s (which maps
+one uniform to the survival 1 - G(M) of a random maximum), the positive
+integer count N_theta with that p.g.f., and the mixing variable U whose Laplace
 transform is phi (the weak limit of theta*N_theta as theta drops to 0).
 The survival forms keep their digits where phi(theta*s) rounds to 1, so
 the identities stay exact as theta drops to the smallest normal float,
@@ -19,7 +20,7 @@ Three closed-form families are provided:
 * ``Degenerate``     phi(s) = exp(-s),     1 - phi = -expm1(-s),     U = 1, N_theta = 1/theta
 
 with E a unit exponential, V uniform on (0, 1) and
-r(v) = sin(nu pi (1 - v)) / sin(nu pi v).
+r(v) = sin(nu pi (1 - v)) / sin(nu pi v), evaluated in half-angle tangents.
 
 No numerical Poincare solving is attempted; the identity is verified for
 the shipped closed forms by the test suite.
@@ -85,6 +86,27 @@ class LaplaceFamily:
 
         return _apply(s, eval_pgf)
 
+    def pgf_sf_inv(self, theta, u):
+        """The survival s with ``pgf_sf(theta, s) = u``, for u in [0, 1].
+
+        ``pgf_sf(theta, .)`` is the survival function of S = 1 - G(M), M the
+        maximum of N_theta draws from a continuous G, so S = pgf_sf_inv(theta, U)
+        of a uniform U draws S exactly, with no count.  u = 0 gives 1 and u = 1
+        gives 0; NaN stays NaN.
+        """
+        self.validate_theta(theta)
+
+        def invert(arr):
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise DomainError("p.g.f. value must lie in [0, 1]")
+            return self._pgf_sf_inv(theta, arr)
+
+        return _apply(u, invert)
+
+    def _pgf_sf_inv(self, theta, u):
+        """``pgf_sf_inv`` at an admitted theta and an array u in [0, 1], in closed form."""
+        raise NotImplementedError
+
     def index(self, n):
         """The count index theta_n of a base with G^n(a_n x + b_n) -> exp(-V(x)).
 
@@ -139,8 +161,9 @@ class Geometric(LaplaceFamily):
 
     def lt_sf(self, s):
         def f(arr):
+            power = arr**self.nu
             with np.errstate(invalid="ignore"):
-                out = arr**self.nu / (1.0 + arr**self.nu)
+                out = power / (1.0 + power)
             out[np.isposinf(arr)] = 1.0
             return out
 
@@ -155,6 +178,12 @@ class Geometric(LaplaceFamily):
             raise ConfigurationError(
                 f"{self.title} family requires theta in (0, 1), got {theta}"
             )
+
+    def _pgf_sf_inv(self, theta, u):
+        # pgf_sf(theta, s) = t (1 - s) / (t (1 - s) + s) with t = theta^nu, which is u where
+        # s = c / (u + c) with c = t (1 - u); u = 0 gives c / c = 1
+        c = theta**self.nu * (1.0 - u)
+        return c / (u + c)
 
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
@@ -200,13 +229,12 @@ class MittagLeffler(Geometric):
             return v ** (1.0 / self.nu)
 
     def sample_mixer(self, rng, size):
-        # E the geometric mixer (Kozubowski and Rachev 1999; Fulger, Scalas and Germano 2008);
-        # 1 - V is exact where V >= 1/2.  A sine rounds to 0 only at a subnormal nu; that and
-        # the law's own overflow and underflow leave the floats, and are refused below
+        # E the geometric mixer (Kozubowski and Rachev 1999; Fulger, Scalas and Germano 2008).
+        # A ratio of 0 or inf (at a subnormal nu) and the law's own overflow and underflow leave
+        # the floats, and are refused below
         e = super().sample_mixer(rng, size)
-        u = open_uniform(rng, size)
         with np.errstate(all="ignore"):
-            ratio = np.sin(np.pi * self.nu * (1.0 - u)) / np.sin(np.pi * self.nu * u)
+            ratio = _sine_ratio(self.nu, open_uniform(rng, size))
             return in_floats(e * ratio ** (1.0 / self.nu), "Mittag-Leffler mixer draw")
 
     def __repr__(self):
@@ -240,6 +268,11 @@ class Degenerate(LaplaceFamily):
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
             )
 
+    def _pgf_sf_inv(self, theta, u):
+        # pgf_sf(theta, s) = (1 - s)^(1/theta); u = 0 gives -expm1(-inf) = 1
+        with np.errstate(divide="ignore"):
+            return -np.expm1(theta * np.log(u))
+
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
         n = int(round(1.0 / theta))
@@ -263,6 +296,19 @@ def _transform(s, func):
         return func(arr)
 
     return _apply(s, checked)
+
+
+def _sine_ratio(nu, v):
+    """sin a / sin b with a = nu pi (1 - v) and b = nu pi v, for v in (0, 1).
+
+    Written in the half-angle tangents ta, tb as ta (1 + tb^2) / (tb (1 + ta^2)),
+    since numpy's tan is vectorized and its sin is not.  The halves of a and b
+    are the arguments of the sines halved, exactly; 1 - v is exact where v >= 1/2.
+    """
+    half = 0.5 * np.pi * nu
+    ta = np.tan(half * (1.0 - v))
+    tb = np.tan(half * v)
+    return ta * (1.0 + tb * tb) / (tb * (1.0 + ta * ta))
 
 
 def _geometric_counts(p, rng, size):

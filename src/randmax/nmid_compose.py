@@ -5,8 +5,10 @@ count scheme) with a max-stable base H.  The composed d.f. is evaluated
 through the exponent function, F(x) = phi(V(x)), which stays accurate in
 the tails where H(x) underflows.  The module also provides the quadrature
 oracle integral H(x)^t dLambda(t) against the mixer density, one survival
-sampler (the count first, then G^N inverted in survival space) whose base
-quantiles are the random maxima, and the same-type decomposition.
+sampler whose base quantiles are the random maxima, and the same-type
+decomposition.  The sampler inverts the p.g.f. in survival space: the
+survival 1 - G(M) of one maximum is ``pgf_sf_inv`` of one uniform, with no
+count; a tuple base draws the count its coordinates share, then G^N.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from ._util import BLOCK_VALUES
+from ._util import BLOCK_VALUES, in_floats
 from .errors import ConfigurationError
 from .evd_core import MaxStableLaw, PoissonMax, standard_points
 from .lt_families import Degenerate
@@ -87,22 +89,31 @@ def mixture_cdf(law, x):
 def max_survivals(scheme, rng, shape):
     """Survivals S = 1 - G(M) of maxima M of N_theta base draws, of ``shape`` (size,) or (size, d).
 
-    The one place that fixes the stream order: a count per row, then the uniforms u = G(M)^N.
-    ``-expm1(log(u)/N)`` keeps the digits ``1 - u**(1/N)`` would cancel; u = 0 gives S = 1.
+    The one place that fixes the stream order.  A single base draws one uniform
+    U per maximum and no count: P(S >= s) = P_theta(1 - s), so
+    S = ``pgf_sf_inv(theta, U)``.  The d coordinates of a row share one count,
+    which couples them, so shape (size, d) draws a count per row, then the
+    uniforms u = G(M)^N; ``-expm1(log(u)/N)`` keeps the digits ``1 - u**(1/N)``
+    would cancel.  u = 0 gives S = 1 either way.  A single base's S below the
+    smallest normal float raises ``DomainError``: no base quantile of it keeps
+    its digits.  A count below 2^63 keeps S above 2^-53 / 2^63.
     """
+    if len(shape) == 1:
+        s = scheme.family.pgf_sf_inv(scheme.theta, rng.random(shape))
+        return in_floats(s, "survival 1 - G(M) of a random maximum")
     counts = scheme.sample(rng, shape[0])
-    u = rng.random(shape)
     with np.errstate(divide="ignore"):
-        return -np.expm1(np.log(u) / (counts if u.ndim == 1 else counts[:, None]))
+        return -np.expm1(np.log(rng.random(shape)) / counts[:, None])
 
 
 def sample_random_max(scheme, base, rng, size):
     """``size`` componentwise maxima of N_theta independent draws from ``base``.
 
     The base quantiles ``isf`` of ``max_survivals``, so for every theta the
-    sample has d.f. P_theta(G(x)) at a cost independent of N.  A tuple base
-    inverts each coordinate given the shared count.  The stream positions do
-    not depend on theta, so smaller theta gives pathwise larger draws.
+    sample has d.f. P_theta(G(x)) at a cost independent of N: one uniform per
+    maximum of a single base.  A tuple base inverts each coordinate given the
+    shared count.  The stream positions do not depend on theta, so smaller
+    theta gives pathwise larger draws.
     """
     if isinstance(base, tuple):
         s = max_survivals(scheme, rng, (size, len(base)))

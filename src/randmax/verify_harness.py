@@ -44,10 +44,12 @@ WITNESS_MIN_N = 100
 def ks_distance(sample, cdf):
     """One-sample KS statistic of a sorted sample against a d.f. callable.
 
-    max over i of max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|).  ``cdf`` is
-    evaluated and both deviations reduced ``BLOCK_VALUES`` points at a time,
-    so the working memory is one block whatever the sample size; a NaN in
-    any block makes the statistic NaN.
+    max over i of max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|), taken as
+    max(i/n - F(x_i), F(x_i) - (i-1)/n): the larger of the two absolute values
+    is always one of these, and a difference and its negation are the same
+    bits.  ``cdf`` is evaluated and both deviations reduced ``BLOCK_VALUES``
+    points at a time, so the working memory is one block whatever the sample
+    size; a NaN in any block makes the statistic NaN.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
@@ -62,9 +64,7 @@ def ks_distance(sample, cdf):
         x = sample[start:start + BLOCK_VALUES]
         f = np.asarray(cdf(x), dtype=float)
         steps = np.arange(start, start + x.size + 1) / n  # steps[:-1] is (i-1)/n, steps[1:] is i/n
-        distance = np.maximum(
-            distance, np.maximum(np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max())
-        )
+        distance = np.maximum(distance, np.maximum((steps[1:] - f).max(), (f - steps[:-1]).max()))
     return float(distance)
 
 

@@ -7,7 +7,8 @@ forms those replace: the p.g.f. at ``u`` rather than at the survival
 ``1 - u``, base draws by quantile inversion and the slow max-of-N
 construction, a marginal's quantile ``vinv(-log u)``, the mean of a count,
 the extremal marginal ``exp(-t V)`` and each path's state at the horizon,
-a law's max-stability norming, the CSV text in one string, and Kanter's
+a law's max-stability norming, the KS statistic in one pass of absolute
+deviations, the CSV text in one string, and Kanter's
 positive-stable sampler, from which ``E^(1/nu) * S`` builds the
 Mittag-Leffler mixer the slow way.  Tests compare the library against them.
 """
@@ -100,6 +101,15 @@ def norming(law, t):
     if law.dim == 1:
         return pairs[0]
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def ks_distance_abs(sample, cdf):
+    """The one-sample KS statistic over the whole sample at once, in absolute values:
+    max over i of max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|)."""
+    n = sample.size
+    f = np.asarray(cdf(sample), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(np.maximum(np.abs(i / n - f).max(), np.abs((i - 1) / n - f).max()))
 
 
 def csv_text(table):

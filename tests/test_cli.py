@@ -15,7 +15,7 @@ import randmax.streams
 import randmax.verify_harness
 from randmax.cli import COMMON, EXPERIMENTS, build_parser, emit_csv, main
 from randmax.lt_families import LaplaceFamily, MittagLeffler
-from randmax.verify_harness import CSV_BLOCK_ROWS, Table, format_value
+from randmax.verify_harness import CSV_BLOCK_ROWS, Table, format_value, ks_critical, ks_distance
 
 
 def run(argv, tmp_path, sub=""):
@@ -628,7 +628,8 @@ GRID = "the grid of {} lies beyond the float range"
     (["sample", "randmax", "--family", "degenerate", "--theta", "1e-320"], "smallest normal float"),
     (["verify", "lemma12", "--family", "degenerate", "--theta", "1e-320"], "smallest normal float"),
     (["sample", "count", "--family", "degenerate", "--theta", "1e-300"], "exceeds the int64 range"),
-    (["sample", "randmax", "--family", "degenerate", "--theta", "1e-300"], "exceeds the int64 range"),
+    # a random maximum draws no count, so the int64 refusal is shown by lemma12's counts here
+    (["verify", "lemma12", "--family", "geometric", "--theta", "1e-20"], "exceeds the int64 range"),
     (["verify", "lemma12", "--family", "degenerate", "--theta", "1e-300"], "exceeds the int64 range"),
     (["sample", "mixer", "--family", "mittag-leffler", "--nu", "1e-16", "--n", "5"],
      "lies beyond the float range"),
@@ -659,6 +660,9 @@ GRID = "the grid of {} lies beyond the float range"
     (["table", "doa", "--triple", "uniform:2"], "'uniform:2' gives a shape"),
     (["verify", "thm32", "--marginal", "gumbel:xyz"], "'gumbel:xyz' gives a shape"),
     (["sample", "extremal-marginal", "--marginal", "gumbel:7"], "'gumbel:7' gives a shape"),
+    # theta (1 - U) is subnormal wherever 1 - U < 0.74, and so is the survival of the maximum
+    (["sample", "randmax", "--theta", "3e-308"],
+     "survival 1 - G(M) of a random maximum lies beyond the float range"),
 ])
 def test_inadmissible_parameter_exits_two(tmp_path, capsys, argv, message):
     code, out = run(argv + ["--seed", "1"], tmp_path)
@@ -752,6 +756,57 @@ def test_default_shape_outputs_keep_their_bytes(tmp_path, argv):
     assert [path.suffix for path in files] == [".csv", ".txt"]
     digest = hashlib.sha256(b"".join(path.read_bytes() for path in files)).hexdigest()
     assert digest == DEFAULT_SHAPE_DIGESTS[argv]
+
+
+# SHA-256 of the sample CSV at --n 1000 --seed 1: a change to a sampler's stream must be deliberate
+STREAM_DIGESTS = {
+    ("sample", "randmax", "--theta", "0.5"):
+        "65ac10ba20a747f6e428493f3effcbe773a463641e3a74d8ae92db8bd4839292",
+    ("sample", "randmax", "--theta", "0.5", "--family", "mittag-leffler", "--nu", "0.5"):
+        "b273987de464b72d6ffa8bd0c38f05029ee26f65c88f34c60b415b257de932cf",
+    ("sample", "randmax", "--theta", "0.5", "--family", "degenerate"):
+        "7204b04c23dc9233fd30849b5db7c979406cff2a106abc9be243dc445505cc74",
+    ("sample", "mixer", "--family", "mittag-leffler", "--nu", "0.5"):
+        "ece81bbc43ae52031c0f1088b678a48c6541e620a40596aa734981a56bb6c183",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STREAM_DIGESTS))
+def test_sampler_streams_keep_their_bytes(tmp_path, argv):
+    code, out = run(list(argv) + ["--n", "1000", "--seed", "1"], tmp_path)
+    assert code == 0
+    (path,) = out.iterdir()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STREAM_DIGESTS[argv]
+
+
+# SHA-256 of sample_random_max_seeded(CountScheme(family, 0.1), (Pareto(1), UnitExponential()),
+# seed 1, n 25 000).tobytes(): a tuple base draws a shared count per row, whose stream is pinned
+TUPLE_BASE_DIGESTS = {
+    "geometric": "5d642ba86a792f7dcf93c32c9e3399d8a148cab7e873474ef268702e63fed13f",
+    "mittag-leffler": "826714c69c81c7ae065b8ab3834103b3005a14e873ad5ad0a6a9bd8750cda381",
+    "degenerate": "d649847b835513a351f78331edbf039a37a8d899116da3811db987578c2890ab",
+}
+
+
+@pytest.mark.parametrize("family", sorted(TUPLE_BASE_DIGESTS))
+def test_tuple_base_draws_keep_their_bytes(family):
+    args = argparse.Namespace(family=family, nu=0.5)
+    scheme = randmax.CountScheme(randmax.cli.make_family(args), 0.1)
+    base = (randmax.Pareto(1.0), randmax.UnitExponential())
+    draws = randmax.sample_random_max_seeded(scheme, base, seed=1, n=25_000)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == TUPLE_BASE_DIGESTS[family]
+
+
+def test_degenerate_random_max_at_the_smallest_theta(tmp_path, capsys):
+    # N = 10^300 is no int64, but no count is drawn: S = -expm1(theta log U), and theta M
+    # of a Pareto(1) base is Frechet(1), exp(-1/x)
+    code, out = run(["sample", "randmax", "--family", "degenerate", "--theta", "1e-300",
+                     "--n", "2000", "--seed", "1"], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().out == "randmax: wrote 2000 rows\n"
+    values = np.loadtxt(out / "randmax.csv", delimiter=",", skiprows=1)[:, 1]
+    levels = np.sort(1e-300 * values)
+    assert ks_distance(levels, lambda x: np.exp(-1.0 / x)) < ks_critical(2000)
 
 
 SWEEP_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e-300", "1e-17", "1e-16", "0.999999", "1",

@@ -20,6 +20,7 @@ from randmax import (
     substream,
     univariate,
 )
+from randmax.lt_families import _sine_ratio
 from randmax.streams import open_exponential
 
 from oracles import count_mean, pgf, sample_positive_stable, scheme_pgf
@@ -153,6 +154,32 @@ def test_pgf_from_the_survival():
     # theta = 1/n and s = v/n, far below the float spacing at 1: P_theta(1 - s) -> 1/(1 + v)
     v = np.array([0.5, 1.0, 2.0])
     assert np.abs(Geometric().pgf_sf(1e-16, 1e-16 * v) - 1.0 / (1.0 + v)).max() < 1e-12
+
+
+def test_pgf_sf_inv_round_trip():
+    # pgf_sf(theta, pgf_sf_inv(theta, u)) = u to within the spacing of the survival in floats
+    eps = np.finfo(float).eps
+    tail = np.geomspace(1e-6, 0.5, 400)
+    u = np.concatenate([tail, 1.0 - tail])
+    for family in FAMILIES:
+        for theta in (0.5, *(10.0**-k for k in range(1, 301))):
+            s = family.pgf_sf_inv(theta, u)
+            assert np.all((s > 0.0) & (s < 1.0)), (family.name, theta)
+            assert np.abs(family.pgf_sf(theta, s) - u).max() <= 2.0 * eps, (family.name, theta)
+
+
+def test_pgf_sf_inv_ends_and_refusals():
+    for family in FAMILIES:
+        values = family.pgf_sf_inv(0.5, np.array([0.0, 1.0, np.nan]))
+        assert values[0] == 1.0 and values[1] == 0.0 and np.isnan(values[2])
+        assert isinstance(family.pgf_sf_inv(0.5, 0.25), float)
+        for u in (-0.1, 1.1):
+            with pytest.raises(DomainError, match=r"p.g.f. value must lie in \[0, 1\]"):
+                family.pgf_sf_inv(0.5, u)
+        with pytest.raises(ConfigurationError):
+            family.pgf_sf_inv(1e-320, 0.5)
+    # the geometric closed form by hand: theta = 1/2 and u = 1/3 give c = 1/3 and s = 1/2
+    assert Geometric().pgf_sf_inv(0.5, 1.0 / 3.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_theta_validation():
@@ -289,6 +316,20 @@ def test_mittag_leffler_mixer_matches_the_stable_construction():
             assert abs(values.mean() - family.lt(s)) < 4.0 * se, (nu, s)
 
 
+def test_sine_ratio_in_tangents_matches_mpmath():
+    # the ratio sin a / sin b at the float arguments a = nu pi (1 - v), b = nu pi v the sine form
+    # took, to 40 digits: the half-angle tangent form keeps it within 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    v = np.concatenate([2.0 ** -np.arange(1, 54), 1.0 - 2.0 ** -np.arange(1, 54)])
+    for nu in (0.05, 0.5, 0.95):
+        got = _sine_ratio(nu, v)
+        a, b = np.pi * nu * (1.0 - v), np.pi * nu * v
+        with mpmath.workdps(40):
+            want = [mpmath.sin(mpmath.mpf(x)) / mpmath.sin(mpmath.mpf(y)) for x, y in zip(a, b)]
+            error = max(abs(mpmath.mpf(g) / w - 1) for g, w in zip(got, want))
+        assert error <= 1e-15, (nu, float(error))
+
+
 def test_mittag_leffler_mixer_near_order_one_is_finite():
     for nu in (0.999, 1.0 - 2.0**-20):
         with warnings.catch_warnings():
@@ -323,7 +364,7 @@ def test_positive_stable_near_order_one():
 
 
 def test_mixer_draws_beyond_the_float_range_are_refused():
-    # r(V)^(1/nu) is 0 or inf at nu = 1e-16, and at a subnormal nu a sine rounds to 0 as well;
+    # r(V)^(1/nu) is 0 or inf at nu = 1e-16, and at a subnormal nu a tangent rounds to 0 as well;
     # Kanter's S leaves the floats at nu = 0.01
     for nu in (1e-16, 5e-324):
         with pytest.raises(DomainError, match="^Mittag-Leffler mixer draw lies beyond the float"):

@@ -197,8 +197,8 @@ def test_random_max_near_limit():
 
 
 def test_random_max_monotone_coupling():
-    # smaller theta gives a stochastically larger maximum, and pathwise so:
-    # the count and maximum uniforms sit at the same stream positions
+    # smaller theta gives a stochastically larger maximum, and pathwise so: each maximum's one
+    # uniform U sits at the same stream position, and pgf_sf_inv(theta, U) rises with theta
     base = Pareto(1.0)
     grid = np.asarray(Frechet(1.0).grid)
     previous = previous_draws = None
@@ -228,9 +228,16 @@ def literal_random_max(scheme, base, rng, size):
 
 @pytest.mark.parametrize("base", [Pareto(1.0), (Pareto(1.0), UnitExponential())],
                          ids=["pareto", "pareto-exponential"])
-@pytest.mark.parametrize("theta", [0.1, 0.01])
-def test_random_max_matches_literal_construction(base, theta):
-    scheme = CountScheme(GEOMETRIC, theta)
+@pytest.mark.parametrize("family, theta", [
+    (GEOMETRIC, 0.1),
+    (GEOMETRIC, 0.01),
+    (MittagLeffler(0.5), 0.01),
+    (MittagLeffler(0.05), 0.01),
+    (DEGENERATE, 0.01),
+], ids=["0.1", "0.01", "mittag-leffler(0.5)-0.01", "mittag-leffler(0.05)-0.01", "degenerate-0.01"])
+def test_random_max_matches_literal_construction(base, family, theta):
+    # a single base draws one uniform per maximum, a tuple base a shared count per row
+    scheme = CountScheme(family, theta)
     n = 20_000
     fast = sample_random_max(scheme, base, substream(39), n)
     slow = literal_random_max(scheme, base, substream(40), n)
@@ -243,7 +250,7 @@ def test_random_max_matches_literal_construction(base, theta):
 def test_random_max_survival_accuracy_at_large_count():
     # N = 10^8 exactly; G(M)^N = (1 - 1/M)^N must give back the uniform U
     n = 10**8
-    u = substream(41).random(1_000)  # the degenerate count consumes no uniforms
+    u = substream(41).random(1_000)  # a single base draws one uniform per maximum, no count
     draws = sample_random_max(CountScheme(DEGENERATE, 1.0 / n), Pareto(1.0), substream(41), 1_000)
     assert np.abs(np.exp(n * np.log1p(-1.0 / draws)) - u).max() < 1e-12
 

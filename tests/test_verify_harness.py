@@ -42,7 +42,7 @@ from randmax.verify_harness import (
     _kolmogorov_cdf,
     format_value,
 )
-from oracles import csv_text, sample_base
+from oracles import csv_text, ks_distance_abs, sample_base
 
 PARETO1 = standard_triple("pareto", 1.0)
 EXPONENTIAL = standard_triple("exponential")
@@ -87,22 +87,15 @@ def test_ks_distance_validation():
         ks_distance(np.asarray([[1.0, 2.0]]), lambda x: x)
 
 
-def _ks_one_shot(sample, cdf):
-    """The whole-sample KS formula, kept as the reference for the blocked statistic."""
-    n = sample.size
-    f = np.asarray(cdf(sample), dtype=float)
-    i = np.arange(1, n + 1)
-    return float(max(np.abs(i / n - f).max(), np.abs((i - 1) / n - f).max()))
-
-
 @pytest.mark.parametrize("n", [1, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
                                3 * BLOCK_VALUES + 7])
 def test_blocked_ks_distance_is_exact(n):
+    # the blocked max(i/n - F, F - (i-1)/n) has the bits of the absolute form in one pass
     model = Pareto(1.0)
     draws = np.sort(sample_base(model, substream(64), n))
-    assert ks_distance(draws, model.cdf) == _ks_one_shot(draws, model.cdf)
+    assert ks_distance(draws, model.cdf) == ks_distance_abs(draws, model.cdf)
     sample = np.sort(substream(65).random(n))
-    assert ks_distance(sample, np.sqrt) == _ks_one_shot(sample, np.sqrt)
+    assert ks_distance(sample, np.sqrt) == ks_distance_abs(sample, np.sqrt)
 
 
 def test_blocked_ks_distance_nan_and_unsorted_blocks():
@@ -111,7 +104,13 @@ def test_blocked_ks_distance_nan_and_unsorted_blocks():
     with_nan = sample.copy()
     with_nan[2 * BLOCK_VALUES + 3] = np.nan  # in a later block than the first
     assert math.isnan(ks_distance(with_nan, lambda x: x))
-    assert math.isnan(_ks_one_shot(with_nan, lambda x: x))
+    assert math.isnan(ks_distance_abs(with_nan, lambda x: x))
+    for at in (0, BLOCK_VALUES, n - 1):  # a NaN of the d.f. in the first, second and last block
+        def nan_cdf(x, point=sample[at]):
+            return np.where(x == point, np.nan, x)
+
+        assert math.isnan(ks_distance(sample, nan_cdf))
+        assert math.isnan(ks_distance_abs(sample, nan_cdf))
     straddling = sample.copy()
     edge = BLOCK_VALUES
     straddling[edge - 1], straddling[edge] = straddling[edge], straddling[edge - 1]
