@@ -4,9 +4,10 @@ One subcommand per verification experiment keeps the check-to-code map
 auditable.  The table ``EXPERIMENTS`` is the only place an experiment is
 described: the parser, the ``--help`` list and the dispatch are built
 from it.  Every run is deterministic given its flags and seed; Monte
-Carlo work is split over counter-based substreams that run in order on
-one thread; ``--threads`` is accepted for compatibility and changes
-nothing.  Results are written as CSV (one file per table, floats at 17
+Carlo work is split into chunks, chunk ``i`` drawing from PCG64DXSM seeded
+by the seed and jumped ``i`` times (``streams.substream``), and the chunks
+run in order on one thread; ``--threads`` is accepted for compatibility and
+changes nothing.  Results are written as CSV (one file per table, floats at 17
 significant digits) plus a plain-text summary, and the exit code is 0
 only if every pass flag is true.
 """

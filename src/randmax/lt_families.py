@@ -77,14 +77,18 @@ class LaplaceFamily:
         def eval_pgf(arr):
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise DomainError("p.g.f. argument must lie in [0, 1]")
-            out = np.full_like(arr, np.nan)  # NaN stays NaN
-            out[arr == 0.0] = 1.0
-            out[arr == 1.0] = 0.0
-            inner = (arr > 0.0) & (arr < 1.0)
-            out[inner] = self.lt(self.lt_inv_sf(arr[inner]) / theta)
-            return out
+            return self._pgf_sf(theta, arr)
 
         return _apply(s, eval_pgf)
+
+    def _pgf_sf(self, theta, s):
+        """``pgf_sf`` at an admitted theta and an array s in [0, 1], from the transform."""
+        out = np.full_like(s, np.nan)  # NaN stays NaN
+        out[s == 0.0] = 1.0
+        out[s == 1.0] = 0.0
+        inner = (s > 0.0) & (s < 1.0)
+        out[inner] = self.lt(self.lt_inv_sf(s[inner]) / theta)
+        return out
 
     def pgf_sf_inv(self, theta, u):
         """The survival s with ``pgf_sf(theta, s) = u``, for u in [0, 1].
@@ -179,9 +183,14 @@ class Geometric(LaplaceFamily):
                 f"{self.title} family requires theta in (0, 1), got {theta}"
             )
 
+    def _pgf_sf(self, theta, s):
+        # phi((s / (1 - s))^(1/nu) / theta) in closed form, with no power of s to go subnormal:
+        # c / (c + s) with c = theta^nu (1 - s); s = 0 gives c / c = 1 and s = 1 gives 0
+        c = theta**self.nu * (1.0 - s)
+        return c / (c + s)
+
     def _pgf_sf_inv(self, theta, u):
-        # pgf_sf(theta, s) = t (1 - s) / (t (1 - s) + s) with t = theta^nu, which is u where
-        # s = c / (u + c) with c = t (1 - u); u = 0 gives c / c = 1
+        # _pgf_sf(theta, s) = u where s = c / (u + c) with c = theta^nu (1 - u); u = 0 gives 1
         c = theta**self.nu * (1.0 - u)
         return c / (u + c)
 

@@ -1,14 +1,20 @@
 """Seeded, splittable random streams.
 
 Every randomized operation in the package is driven by a 64-bit seed.
-Monte Carlo work splits the seed into independent substreams with a
-counter-based rule: chunk ``i`` of a run keyed by ``seed`` uses a Philox
-generator whose 256-bit counter starts at ``i * 2**128``.  A chunk holds
+Monte Carlo work splits the seed into independent substreams with numpy's
+jump rule: chunk ``i`` of a run keyed by ``seed`` uses the PCG64DXSM
+generator (O'Neill 2014) seeded by ``seed`` and advanced ``i * JUMP``
+steps, ``PCG64DXSM(seed).jumped(i)``.  ``JUMP`` is the golden-ratio share of
+the 2**128 period, so chunks ``i`` and ``j`` start at least
+``0.38 * 2**128 / |i - j|`` steps apart, and no chunk draws anywhere near
+2**64 values: the chunks never overlap.  (A jump by a power of two would
+leave the low 64 state bits of every chunk identical.)  A chunk holds
 ``CHUNK_DRAWS`` (10 000) draws or ``CHUNK_PATHS`` (1600) paths, so the
 produced numbers depend only on the seed.  Every chunk runs on the calling
-thread, in order.  Only this module builds generators, and only
-``open_exponential`` calls numpy's exponential sampler; the geometric
-mixer draws its unit exponential by inverting ``open_uniform`` instead.
+thread, in order, on one bit generator that is reset and advanced per
+chunk.  Only this module builds generators, and only ``open_exponential``
+calls numpy's exponential sampler; the geometric mixer draws its unit
+exponential by inverting ``open_uniform`` instead.
 """
 
 import numpy as np
@@ -21,6 +27,9 @@ from .errors import ConfigurationError
 # and keeps the chain's working arrays small beside its output.
 CHUNK_DRAWS = 10_000
 CHUNK_PATHS = 1600
+
+# numpy's PCG64DXSM.jumped step: (phi - 1) * 2**128 rounded to the nearest odd integer
+JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 def check_seed(seed):
@@ -39,7 +48,7 @@ def substream(seed, index=0):
     seed = check_seed(seed)
     if index < 0:
         raise ConfigurationError(f"substream index must be nonnegative, got {index}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+    return np.random.Generator(np.random.PCG64DXSM(seed).jumped(index))
 
 
 def open_uniform(rng, size):
@@ -62,11 +71,21 @@ def open_exponential(rng, size):
 
 
 def _chunks(seed, n, size, what):
-    """``(start, rng, m)`` of each chunk of ``size`` of ``n`` items; chunk ``i`` reads substream ``i``."""
+    """``(start, rng, m)`` of each chunk of ``size`` of ``n`` items; chunk ``i`` reads substream ``i``.
+
+    Every chunk gets the same generator, its state set to substream ``i``'s,
+    since a state reset and an advance cost a small part of building a new
+    bit generator.  The generator is valid until the next chunk is taken.
+    """
     if n <= 0:
         raise ConfigurationError(f"{what} must be positive, got {n}")
+    bits = np.random.PCG64DXSM(check_seed(seed))
+    origin = bits.state
+    rng = np.random.Generator(bits)
     for index, start in enumerate(range(0, n, size)):
-        yield start, substream(seed, index), min(size, n - start)
+        bits.state = origin
+        bits.advance(index * JUMP)
+        yield start, rng, min(size, n - start)
 
 
 def chunked_draws(seed, n, draw):

@@ -479,16 +479,20 @@ def test_count_beyond_int64_exits_two(tmp_path, capsys, family):
 
 
 @pytest.mark.parametrize("family, rows", [
-    ("geometric", ["0,36178517080144344", "1,188854848990483968", "2,16976248676289376"]),
-    ("degenerate", ["0,100000000000000000", "1,100000000000000000", "2,100000000000000000"]),
+    ("geometric", ["0,31628276690986936", "1,32760229044769932", "2,77777078022338240",
+                   "3,114189993484381120"]),
+    ("degenerate", ["0,100000000000000000", "1,100000000000000000", "2,100000000000000000",
+                    "3,100000000000000000"]),
 ])
 def test_large_counts_are_written_as_integers(tmp_path, family, rows):
     # a count of 10^17 or more written through the float formatter would read
-    # 1.8885484899048397e+17, which names a different integer
-    code, out = run(["sample", "count", "--family", family, "--theta", "1e-17", "--n", "3",
+    # 1.1418999348438112e+17, which names a different integer
+    code, out = run(["sample", "count", "--family", family, "--theta", "1e-17", "--n", "4",
                      "--seed", "1"], tmp_path)
     assert code == 0
-    assert (out / "count.csv").read_text().splitlines() == ["index,value"] + rows
+    lines = (out / "count.csv").read_text().splitlines()
+    assert lines == ["index,value"] + rows
+    assert max(int(line.split(",")[1]) for line in lines[1:]) >= 10**17
 
 
 def test_tiny_theta_sample_is_one_finite_row(tmp_path):
@@ -721,11 +725,11 @@ def test_extreme_shapes_and_indices_pass(tmp_path, capsys, argv):
 
 DEFAULT_SHAPE_DIGESTS = {
     ("verify", "thm24", "--triple", "pareto:1"):
-        "a99a195f3b05b7fbb74ecd50be07e3c34e589522f7a9e1c1021bb67d18356264",
+        "66cc0844bb1a7705cedfbd970a462122660a7c6259f29214ced3784a1923c68a",
     ("verify", "thm24", "--triple", "exponential"):
-        "49ec713c49d039c0ff9cc02ae8ad3f29d4ab5b379e847b01766d6683b9b94823",
+        "9137fdfe1e25304e2ded6e589bd61b4ec8c104fc0f49a2aafc4571bcdd7742cb",
     ("verify", "thm24", "--triple", "uniform"):
-        "54382085dc27faf2f65afa68167fa9cab2327ffbfb9a2324c0bdd3f7abd59b0f",
+        "3df2f280b1ea738dd386037eaa32e7b0c32980145d96b171ba8624b32cfc7019",
     ("verify", "definetti", "--triple", "pareto:1"):
         "0c8b38054a7e3333a3867bb165a10829e6752f592e0dfafa1b050464941e04a9",
     ("verify", "definetti", "--triple", "exponential"):
@@ -739,11 +743,11 @@ DEFAULT_SHAPE_DIGESTS = {
     ("table", "doa", "--triple", "uniform"):
         "2f33135bfcafd1f0871f8f5872b12f6d92be32e9fabb89355d479b2fe9e1b786",
     ("verify", "thm31", "--marginal", "frechet:1"):
-        "8aaef950395bf979e9902b751a3330e66dd42bc668b072b63facf38477cd1f31",
+        "4bd05b483e2d5c52f549025c6f0cedd60d1e0275ecbba4f13d1fe946867689a3",
     ("verify", "thm31", "--marginal", "gumbel"):
-        "863306d2dbb22e34796e431b7203e65e9e54463a0175b3ca284029cdf4df545d",
+        "e9abcf3f245291785209605141e3df7d05ba5b95b39df8cbbd0d104968ec3c75",
     ("verify", "thm31", "--marginal", "reverse-weibull:1"):
-        "5c5836c6d25043ac6c8c87a885bcef4e631348ec75c0419c79d3bf724c35ba8e",
+        "6bf1f08fb15099aa59655e5c315d2e2cef5fea225a29b61522e289a8b342c817",
 }
 
 
@@ -761,13 +765,13 @@ def test_default_shape_outputs_keep_their_bytes(tmp_path, argv):
 # SHA-256 of the sample CSV at --n 1000 --seed 1: a change to a sampler's stream must be deliberate
 STREAM_DIGESTS = {
     ("sample", "randmax", "--theta", "0.5"):
-        "65ac10ba20a747f6e428493f3effcbe773a463641e3a74d8ae92db8bd4839292",
+        "c445d6769dd828948f5f3450d4fea2d620ce21703bdfe1b47e3fdfebd511b49e",
     ("sample", "randmax", "--theta", "0.5", "--family", "mittag-leffler", "--nu", "0.5"):
-        "b273987de464b72d6ffa8bd0c38f05029ee26f65c88f34c60b415b257de932cf",
+        "1181150cab31d8f38e17f9890a3bde3bf75a61fd9488203c5760a1e66818227e",
     ("sample", "randmax", "--theta", "0.5", "--family", "degenerate"):
-        "7204b04c23dc9233fd30849b5db7c979406cff2a106abc9be243dc445505cc74",
+        "c810e5ac2c7983297ba084605f137183a099a58580ef865d85c5837e7bc05541",
     ("sample", "mixer", "--family", "mittag-leffler", "--nu", "0.5"):
-        "ece81bbc43ae52031c0f1088b678a48c6541e620a40596aa734981a56bb6c183",
+        "ea5daaee9fbd18fba888894969115bcefe1fd09c0ee4b559257978bda99ce482",
 }
 
 
@@ -782,9 +786,9 @@ def test_sampler_streams_keep_their_bytes(tmp_path, argv):
 # SHA-256 of sample_random_max_seeded(CountScheme(family, 0.1), (Pareto(1), UnitExponential()),
 # seed 1, n 25 000).tobytes(): a tuple base draws a shared count per row, whose stream is pinned
 TUPLE_BASE_DIGESTS = {
-    "geometric": "5d642ba86a792f7dcf93c32c9e3399d8a148cab7e873474ef268702e63fed13f",
-    "mittag-leffler": "826714c69c81c7ae065b8ab3834103b3005a14e873ad5ad0a6a9bd8750cda381",
-    "degenerate": "d649847b835513a351f78331edbf039a37a8d899116da3811db987578c2890ab",
+    "geometric": "d3e0ff0bb88ae7b28fe893be3412bc4469c2536f0f76d6ddb2605b282f120f09",
+    "mittag-leffler": "ed12d8ceb933274504502a0e153136e51c303acfbfb7e1b6d7aa93dabfaf1215",
+    "degenerate": "3224d27efd70c5273718c94f9508c3273d56a2f2fee1dfb2e36778f4d8e2cea1",
 }
 
 

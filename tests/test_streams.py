@@ -14,6 +14,7 @@ from randmax import (
     chunked_draws,
     substream,
 )
+from randmax import streams
 from randmax.nmid_compose import sample_random_max
 from randmax.streams import CHUNK_DRAWS, CHUNK_PATHS, chunked_list
 
@@ -41,6 +42,37 @@ def test_negative_substream_index_is_refused():
         substream(5, -1)
 
 
+def _stream_bytes(rng):
+    # uniforms, 32-bit integers (which buffer half a 64-bit word) and ziggurat exponentials
+    return (rng.random(5).tobytes() + rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes()
+            + rng.standard_exponential(5).tobytes())
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_chunk_generators_follow_numpys_jump_rule(monkeypatch, seed):
+    # chunk i reads the PCG64DXSM stream of the seed jumped i times, as substream(seed, i) does;
+    # a fake enumerate hands the chunk loop the index 2^40, where i * JUMP wraps past 2^128
+    indices = [0, 1, 2, 2**40]
+    monkeypatch.setattr(streams, "enumerate", lambda it: zip(indices, it), raising=False)
+    for index, (_, rng, _) in zip(indices, streams._chunks(seed, 4, 1, "draws")):
+        reference = _stream_bytes(np.random.Generator(np.random.PCG64DXSM(seed).jumped(index)))
+        assert _stream_bytes(rng) == reference, index
+        assert _stream_bytes(substream(seed, index)) == reference, index
+
+
+def test_chunked_draws_build_one_bit_generator(monkeypatch):
+    built = []
+
+    class Counted(np.random.PCG64DXSM):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64DXSM", Counted)
+    chunked_draws(5, 5 * CHUNK_DRAWS, lambda rng, m: rng.random(m))
+    assert built == [(5,)]
+
+
 def test_path_chunks_read_one_substream_each():
     n = 2 * CHUNK_PATHS + 7
     got = chunked_list(5, n, lambda rng, m: (m, rng.random(3)))
@@ -65,7 +97,8 @@ def test_generators_and_exponentials_come_from_streams_only():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("Philox", "Generator", "default_rng", "substream"):
+                if name in ("Philox", "PCG64DXSM", "PCG64", "SFC64", "MT19937", "Generator",
+                            "default_rng", "substream"):
                     assert path.name == "streams.py", f"{path.name}:{node.lineno} calls {name}"
                 if name in ("exponential", "standard_exponential"):
                     assert path.name == "streams.py" and id(node) in inside, (
