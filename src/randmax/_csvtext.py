@@ -33,7 +33,6 @@ _TIE_BAND = 2.0**-44
 _INT64 = np.iinfo(np.int64)
 _ZEROS = 0x3030303030303030  # "00000000"
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-_TRUE, _FALSE = (int.from_bytes(text.ljust(8, b"\xff"), "little") for text in (b"true", b"false"))
 
 
 def format_value(value):
@@ -278,8 +277,6 @@ def _cells(column):
         return _float_cells(column)
     if kind in ("i", "u"):
         return _int_cells(column)
-    if kind == "b":
-        return np.where(column, _TRUE, _FALSE).astype("<u8")[:, None]
     texts = [format_value(v).encode("utf-8") for v in column]
     cells = np.empty((len(texts), max(map(len, texts), default=0) // 8 + 1), dtype="<u8")
     _put_texts(cells, slice(None), texts)

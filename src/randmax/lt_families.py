@@ -5,9 +5,10 @@ equation phi(s) = P(phi(theta*s)) together with everything the transform
 induces: its survival form 1 - phi and the inverse phi^{-1}(1 - s) of
 that, the probability generating function in survival space
 P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta) and its inverse in s (which maps
-one uniform to the survival 1 - G(M) of a random maximum), the positive
-integer count N_theta with that p.g.f., and the mixing variable U whose Laplace
-transform is phi (the weak limit of theta*N_theta as theta drops to 0).
+one uniform to the survival 1 - G(M) of a random maximum), both in closed
+form, the positive integer count N_theta with that p.g.f., and the mixing
+variable U whose Laplace transform is phi (the weak limit of theta*N_theta
+as theta drops to 0).
 The survival forms keep their digits where phi(theta*s) rounds to 1, so
 the identities stay exact as theta drops to the smallest normal float,
 below which theta is refused.  A count index or mixer draw outside the
@@ -21,12 +22,15 @@ Three closed-form families are provided:
 
 with E a unit exponential, V uniform on (0, 1) and
 r(v) = sin(nu pi (1 - v)) / sin(nu pi v), evaluated in half-angle tangents.
+P_theta(1 - s) is c / (c + s) with c = theta^nu (1 - s), its own inverse, for
+geometric and Mittag-Leffler, and (1 - s)^(1/theta), inverse 1 - u^theta, for degenerate.
 
 No numerical Poincare solving is attempted; the identity is verified for
 the shipped closed forms by the test suite.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -72,23 +76,11 @@ class LaplaceFamily:
 
         Exact where 1 - s rounds to 1; s = 0 gives 1 and s = 1 gives 0.
         """
-        self.validate_theta(theta)
-
-        def eval_pgf(arr):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise DomainError("p.g.f. argument must lie in [0, 1]")
-            return self._pgf_sf(theta, arr)
-
-        return _apply(s, eval_pgf)
+        return self._checked_pgf(theta, s, "argument", self._pgf_sf)
 
     def _pgf_sf(self, theta, s):
-        """``pgf_sf`` at an admitted theta and an array s in [0, 1], from the transform."""
-        out = np.full_like(s, np.nan)  # NaN stays NaN
-        out[s == 0.0] = 1.0
-        out[s == 1.0] = 0.0
-        inner = (s > 0.0) & (s < 1.0)
-        out[inner] = self.lt(self.lt_inv_sf(s[inner]) / theta)
-        return out
+        """``pgf_sf`` at an admitted theta and an array s in [0, 1], in closed form."""
+        raise NotImplementedError
 
     def pgf_sf_inv(self, theta, u):
         """The survival s with ``pgf_sf(theta, s) = u``, for u in [0, 1].
@@ -98,18 +90,22 @@ class LaplaceFamily:
         of a uniform U draws S exactly, with no count.  u = 0 gives 1 and u = 1
         gives 0; NaN stays NaN.
         """
-        self.validate_theta(theta)
-
-        def invert(arr):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise DomainError("p.g.f. value must lie in [0, 1]")
-            return self._pgf_sf_inv(theta, arr)
-
-        return _apply(u, invert)
+        return self._checked_pgf(theta, u, "value", self._pgf_sf_inv)
 
     def _pgf_sf_inv(self, theta, u):
         """``pgf_sf_inv`` at an admitted theta and an array u in [0, 1], in closed form."""
         raise NotImplementedError
+
+    def _checked_pgf(self, theta, x, noun, closed_form):
+        """``closed_form(theta, x)`` once ``validate_theta`` admits theta and x lies in [0, 1]."""
+        self.validate_theta(theta)
+
+        def evaluate(arr):
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise DomainError(f"p.g.f. {noun} must lie in [0, 1]")
+            return closed_form(theta, arr)
+
+        return _apply(x, evaluate)
 
     def index(self, n):
         """The count index theta_n of a base with G^n(a_n x + b_n) -> exp(-V(x)).
@@ -189,10 +185,9 @@ class Geometric(LaplaceFamily):
         c = theta**self.nu * (1.0 - s)
         return c / (c + s)
 
-    def _pgf_sf_inv(self, theta, u):
-        # _pgf_sf(theta, s) = u where s = c / (u + c) with c = theta^nu (1 - u); u = 0 gives 1
-        c = theta**self.nu * (1.0 - u)
-        return c / (u + c)
+    # s -> _pgf_sf(theta, s) is its own inverse: u = c / (c + s) with c = theta^nu (1 - s)
+    # solves to s = c' / (c' + u) with c' = theta^nu (1 - u)
+    _pgf_sf_inv = _pgf_sf
 
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
@@ -277,14 +272,21 @@ class Degenerate(LaplaceFamily):
                 f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
             )
 
+    def _pgf_sf(self, theta, s):
+        # (1 - s)^(1/theta); s = 1 gives exp(-inf) = 0, as does a quotient beyond the floats
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(np.log1p(-s) / theta)
+
     def _pgf_sf_inv(self, theta, u):
-        # pgf_sf(theta, s) = (1 - s)^(1/theta); u = 0 gives -expm1(-inf) = 1
+        # 1 - u^theta; u = 0 gives -expm1(-inf) = 1
         with np.errstate(divide="ignore"):
             return -np.expm1(theta * np.log(u))
 
     def sample_count(self, theta, rng, size):
         self.validate_theta(theta)
-        n = int(round(1.0 / theta))
+        # the integer a decimal theta names (1e-18 names 10^18, which round(1/theta) misses by 128)
+        q = 1 / Fraction(repr(float(theta)))
+        n = q.numerator if q.denominator == 1 else int(round(1.0 / theta))
         if n >= 2**63:
             raise DomainError(f"degenerate count 1/theta = {n:.6g} exceeds the int64 range")
         return np.full(size, n, dtype=np.int64)

@@ -1,17 +1,20 @@
 """Reference forms of the library's objects that only the tests use.
 
-The library reaches the p.g.f. through ``pgf_sf``, samples by survival
-inversion (``isf``), evaluates laws through ``v``/``cdf`` and writes
-tables through ``Table.csv_blocks``.  The functions here are the direct
-forms those replace: the p.g.f. at ``u`` rather than at the survival
-``1 - u``, base draws by quantile inversion and the slow max-of-N
-construction, a marginal's quantile ``vinv(-log u)``, the mean of a count,
-the extremal marginal ``exp(-t V)`` and each path's state at the horizon,
-a law's max-stability norming, the KS statistic in one pass of absolute
-deviations, the CSV text in one string, and Kanter's
-positive-stable sampler, from which ``E^(1/nu) * S`` builds the
-Mittag-Leffler mixer the slow way.  Tests compare the library against them.
+The library reaches the p.g.f. through each family's closed-form
+``pgf_sf``, samples by survival inversion (``isf``), evaluates laws through
+``v``/``cdf`` and writes tables through ``Table.csv_blocks``.  The functions
+here are the direct forms those replace: the p.g.f. through the transform,
+``phi(phi^{-1}(1 - s)/theta)`` at the survival s or at ``u = 1 - s``, base
+draws by quantile inversion and the slow max-of-N construction, a
+marginal's quantile ``vinv(-log u)``, the mean of a count, the extremal
+marginal ``exp(-t V)`` and each path's state at the horizon, a law's
+max-stability norming, the KS statistic in one pass of absolute
+deviations, the CSV text in one string, and Kanter's positive-stable
+sampler, from which ``E^(1/nu) * S`` builds the Mittag-Leffler mixer the
+slow way.  Tests compare the library against them.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,9 +32,27 @@ from randmax._util import apply_scalar, in_floats
 from randmax.streams import open_exponential, open_uniform
 
 
+def pgf_sf(family, theta, s):
+    """P_theta(1 - s) = phi(phi^{-1}(1 - s)/theta) through the transform, for s in [0, 1]."""
+    family.validate_theta(theta)
+
+    def route(s):
+        if np.any(s < 0.0) or np.any(s > 1.0):
+            raise DomainError("p.g.f. argument must lie in [0, 1]")
+        out = np.full_like(s, np.nan)  # NaN stays NaN
+        out[s == 0.0] = 1.0
+        out[s == 1.0] = 0.0
+        inner = (s > 0.0) & (s < 1.0)
+        with np.errstate(over="ignore"):  # a quotient beyond the floats is inf, where phi is 0
+            out[inner] = family.lt(family.lt_inv_sf(s[inner]) / theta)
+        return out
+
+    return apply_scalar(s, route)
+
+
 def pgf(family, theta, u):
-    """P_theta(u) = phi(phi^{-1}(u)/theta) on [0, 1], as ``pgf_sf(theta, 1 - u)``."""
-    return family.pgf_sf(theta, np.subtract(1.0, u))
+    """P_theta(u) = phi(phi^{-1}(u)/theta) on [0, 1], as ``pgf_sf`` at ``1 - u``."""
+    return pgf_sf(family, theta, np.subtract(1.0, u))
 
 
 def scheme_pgf(scheme, u):
@@ -42,8 +63,14 @@ def scheme_pgf(scheme, u):
 _COUNT_MEAN = {
     Geometric: lambda family, theta: 1.0 / theta,
     MittagLeffler: lambda family, theta: theta**-family.nu,
-    Degenerate: lambda family, theta: float(int(round(1.0 / theta))),
+    Degenerate: lambda family, theta: float(_degenerate_count(theta)),
 }
+
+
+def _degenerate_count(theta):
+    """The integer a decimal theta names (1e-18 names 10^18), else the one nearest 1/theta."""
+    q = 1 / Fraction(repr(float(theta)))
+    return q.numerator if q.denominator == 1 else int(round(1.0 / theta))
 
 
 def count_mean(family, theta):

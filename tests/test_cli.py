@@ -495,6 +495,14 @@ def test_large_counts_are_written_as_integers(tmp_path, family, rows):
     assert max(int(line.split(",")[1]) for line in lines[1:]) >= 10**17
 
 
+def test_degenerate_count_is_the_integer_its_theta_names(tmp_path):
+    # the float 1e-18 is nearest both 1/10^18 and 1/(10^18 - 128); round(1/theta) gave the latter
+    code, out = run(["sample", "count", "--family", "degenerate", "--theta", "1e-18", "--n", "1",
+                     "--seed", "1"], tmp_path)
+    assert code == 0
+    assert (out / "count.csv").read_text().splitlines() == ["index,value", "0,1000000000000000000"]
+
+
 def test_tiny_theta_sample_is_one_finite_row(tmp_path):
     # a count near 1e15 costs one uniform like any other: no base draws are stored
     code, out = run(["sample", "randmax", "--theta", "1e-15", "--n", "1", "--seed", "1"], tmp_path)

@@ -20,10 +20,11 @@ from randmax import (
     substream,
     univariate,
 )
-from randmax.lt_families import LaplaceFamily, _sine_ratio
+from randmax._util import TINY
+from randmax.lt_families import _sine_ratio
 from randmax.streams import open_exponential
 
-from oracles import count_mean, pgf, sample_positive_stable, scheme_pgf
+from oracles import count_mean, pgf, pgf_sf, sample_positive_stable, scheme_pgf
 
 FAMILIES = [Geometric(), MittagLeffler(0.5), Degenerate()]
 THETA_GRID = (0.5, 0.1, 0.01)
@@ -174,7 +175,7 @@ def test_closed_form_pgf_sf_keeps_its_digits():
     s = np.concatenate([np.geomspace(1e-12, 0.5, 200), 1.0 - np.geomspace(1e-12, 0.5, 200)])
     for family in (Geometric(), MittagLeffler(0.5), MittagLeffler(0.1)):
         for theta in THETA_GRID:
-            reference = LaplaceFamily._pgf_sf(family, theta, s)
+            reference = pgf_sf(family, theta, s)
             assert np.abs(family.pgf_sf(theta, s) / reference - 1.0).max() < 1e-13
         ends = family.pgf_sf(0.5, np.array([0.0, 1.0, np.nan]))
         assert ends[0] == 1.0 and ends[1] == 0.0 and np.isnan(ends[2])
@@ -185,6 +186,30 @@ def test_closed_form_pgf_sf_keeps_its_digits():
         family = MittagLeffler(nu)
         ulps = np.abs(family.pgf_sf(theta, family.pgf_sf_inv(theta, u)) - u) / np.spacing(u)
         assert ulps.max() <= 8, (nu, theta, ulps.max())
+
+
+def bits(x):
+    """The float64 bit patterns of ``x``, each NaN as one pattern whatever its sign."""
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def test_degenerate_pgf_sf_is_the_transform_route_bit_for_bit():
+    # exp(log1p(-s)/theta) is exp(-((-log1p(-s))/theta)), as negation is exact; the suite turns
+    # warnings into errors, so an overflow or log(0) must not warn either
+    tail = np.random.default_rng(29).random(2_000)
+    ends = [0.0, 1.0, np.nan, 5e-324, 1e-310, TINY, 1e-300, 1.0 - 2.0**-53, 2.0**-53]
+    s = np.concatenate([tail, tail**40, 1.0 - tail**40, ends])
+    family = Degenerate()
+    for theta in (1.0, 1.0 / 3.0, 1e-17, 2.0**-60, TINY):
+        assert np.array_equal(bits(family.pgf_sf(theta, s)), bits(pgf_sf(family, theta, s)))
+
+
+def test_geometric_pgf_sf_inv_is_pgf_sf_bit_for_bit():
+    # u = c/(c + s) with c = theta^nu (1 - s) solves to s = c'/(c' + u), c' = theta^nu (1 - u)
+    u = np.concatenate([np.random.default_rng(30).random(2_000), [0.0, 1.0, np.nan, 5e-324]])
+    for family in (Geometric(), MittagLeffler(0.5), MittagLeffler(0.05)):
+        for theta in (0.5, 1e-3, 1e-17, 2.0**-60, TINY):
+            assert np.array_equal(bits(family.pgf_sf_inv(theta, u)), bits(family.pgf_sf(theta, u)))
 
 
 def test_pgf_sf_inv_ends_and_refusals():
@@ -264,6 +289,10 @@ def test_sample_count_degenerate():
     assert scheme.sample(substream(0), 1).tolist() == [10]
     draws = scheme.sample(substream(1), 100)
     assert np.all(draws == 10)
+    # a decimal theta counts the integer it names, though round(1/1e-18) is 10^18 - 128
+    for theta, n in ((1e-18, 10**18), (1e-17, 10**17), (2.0**-60, 2**60), (1 / 3, 3), (1 / 7, 7)):
+        assert Degenerate().sample_count(theta, substream(0), 2).tolist() == [n, n]
+        assert count_mean(Degenerate(), theta) == n
 
 
 def test_sample_count_means():
