@@ -3,19 +3,22 @@
 One subcommand per verification experiment keeps the check-to-code map
 auditable.  The table ``EXPERIMENTS`` is the only place an experiment is
 described: the parser, the ``--help`` list and the dispatch are built
-from it.  Every run is deterministic given its flags and seed; Monte
-Carlo work is split into chunks, chunk ``i`` drawing from PCG64DXSM seeded
-by the seed and jumped ``i`` times (``streams.substream``), and the chunks
-run in order on one thread; ``--threads`` is accepted for compatibility and
-changes nothing.  Results are written as CSV (one file per table, floats at 17
-significant digits) plus a plain-text summary, and the exit code is 0
-only if every pass flag is true.
+from it.  The parser is built once per process and serves every run
+without ``--config``; a run with a config file builds its own, with the
+file's values as flag defaults.  Every run is deterministic given its
+flags and seed; Monte Carlo work is split into chunks, chunk ``i``
+drawing from PCG64DXSM seeded by the seed and jumped ``i`` times
+(``streams.substream``), and the chunks run in order on one thread;
+``--threads`` is accepted for compatibility and changes nothing.
+Results are written as CSV (one file per table, floats at 17 significant
+digits) plus a plain-text summary, and the exit code is 0 only if every
+pass flag is true.
 """
 
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -278,9 +281,8 @@ EXPERIMENTS = {
     ),
     ("verify", "lemma12"): Experiment(
         "scaled counts theta*N_theta converge to the mixer U (Lemma 1.2)",
-        FAMILY + (Flag("--theta", 0.001, float), Flag("--n", 100_000, int),
-                  Flag("--threshold", 0.01, float)),
-        lambda a, seed: run_lemma12(make_family(a), a.theta, a.n, seed, threshold=a.threshold),
+        FAMILY + (Flag("--theta", 0.001, float), Flag("--n", 100_000, int)),
+        lambda a, seed: run_lemma12(make_family(a), a.theta, a.n, seed),
     ),
     ("verify", "definetti"): Experiment(
         "phi(n(1 - G(a_n x + b_n))) converges to phi(-log H) (Theorems 1.1/2.2)",
@@ -349,17 +351,8 @@ EXPERIMENTS = {
 }
 
 
-def _choices(names):
-    return "{" + ",".join(names) + "}"
-
-
-def build_parser(config=None, only=None):
-    """The ``randmax`` parser; ``config`` maps flag names without ``--`` to default values.
-
-    With ``only``, a key of ``EXPERIMENTS``, the parser holds just that
-    experiment, which is all an argv naming it can reach; the usage lines
-    still list every choice, so its output is the full parser's.
-    """
+def build_parser(config=None):
+    """The ``randmax`` parser; ``config`` maps flag names without ``--`` to default values."""
     config = config or {}
     width = max(len(f"{verb} {name}") for verb, name in EXPERIMENTS) + 3
     guide = "experiments:\n" + "".join(
@@ -372,24 +365,24 @@ def build_parser(config=None, only=None):
         epilog=guide,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # an explicit metavar would also rename the verb and experiment in argparse's error messages
-    verbs = parser.add_subparsers(dest="verb", required=True, metavar=only and _choices(VERBS))
+    verbs = parser.add_subparsers(dest="verb", required=True)
     subparsers = {}
     for (verb, name), experiment in EXPERIMENTS.items():
-        if only and (verb, name) != only:
-            continue
         if verb not in subparsers:
-            names = only and _choices(n for v, n in EXPERIMENTS if v == verb)
             subparsers[verb] = verbs.add_parser(verb, help=VERBS[verb]).add_subparsers(
-                dest="experiment", required=True, metavar=names
+                dest="experiment", required=True
             )
         p = subparsers[verb].add_parser(name, help=experiment.description)
         for flag in experiment.flags + COMMON:
             key = flag.name[2:]
             p.add_argument(flag.name, type=flag.type, default=config.get(key, flag.default),
                            required=flag.required and key not in config, help=flag.help)
-        p.set_defaults(run=experiment.run)
     return parser
+
+
+# the parser of every run without --config, built once per process; bound to the function
+# itself, so a later rebinding of the name build_parser never reaches the cache
+_default_parser = cache(build_parser)
 
 
 def main(argv=None):
@@ -398,8 +391,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    key = tuple(argv[:2])
-    parser = build_parser(config, only=key if key in EXPERIMENTS else None)
+    parser = build_parser(config) if config else _default_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -409,7 +401,7 @@ def main(argv=None):
         unknown = set(config) - {flag.name[2:] for flag in experiment.flags + COMMON}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        result = args.run(args, _resolve_seed(args))
+        result = experiment.run(args, _resolve_seed(args))
         write = _write_samples if isinstance(result, Table) else _write_report
         return write(result, args.out)
     except (ConfigurationError, DomainError) as exc:

@@ -84,7 +84,7 @@ def _jump_chain(marginal, v0, horizon, rng, n):
     times, then at each jump index a block of uniforms for the levels and a
     block of exponentials for the next jump times of those still below the
     horizon.  The arithmetic of a jump index runs once on all ``n`` paths;
-    each path's jumps are then placed at the offset its count gives, and the
+    one stable sort by path then puts each path's jumps together, and the
     levels are mapped to states once.
     """
     # an overflowing time lies past the horizon; a subnormal level (which may repeat) and an
@@ -101,14 +101,11 @@ def _jump_chain(marginal, v0, horizon, rng, n):
             jumps.append((ids, t, v))
             t = t + open_exponential(rng, ids.size) / v
         ids, t, v = (np.concatenate(c) for c in zip(*jumps))
-        counts = np.bincount(ids, minlength=n)
-        # jump k of path i goes k places after the path's first slot; jumps[0] is empty
-        k = np.repeat(np.arange(-1, len(jumps) - 1), [len(j[0]) for j in jumps])
-        slots = (np.cumsum(counts) - counts)[ids] + k
-        times, levels = np.empty_like(t), np.empty_like(v)
-        times[slots], levels[slots] = t, v
-        states = marginal.vinv(in_floats(levels, "a level V of a path"))
-        return counts, times, in_floats(states, "a state of a path", low=-MAX)
+        # each jump index's block is in path order, so a stable sort keeps a path's jumps in order
+        order = np.argsort(ids, kind="stable")
+        states = marginal.vinv(in_floats(v[order], "a level V of a path"))
+        states = in_floats(states, "a state of a path", low=-MAX)
+        return np.bincount(ids, minlength=n), t[order], states
 
 
 def simulate_path(law, horizon, rng, floor=None):

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import EPS, TINY, in_floats
+from ._util import TINY, in_floats
 from ._util import apply_scalar as _apply
 from .errors import ConfigurationError, DomainError
 from .streams import open_uniform
@@ -260,17 +260,24 @@ class Degenerate(LaplaceFamily):
         return _apply(s, lambda arr: -np.log1p(-arr))
 
     def validate_theta(self, theta):
+        self._count(theta)
+
+    def _count(self, theta):
+        """The integer n that theta = 1/n names; any other theta is refused.
+
+        n is the integer theta's shortest decimal names, if it names one
+        (1e-18 names 10^18, though round(1/theta) is 10^18 - 128), else
+        round(1/theta) taken exactly; either way 1/n must round to theta.
+        """
         super().validate_theta(theta)
-        if not 0.0 < theta <= 1.0:
-            raise ConfigurationError(
-                f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
-            )
-        n = 1.0 / theta
-        # 1/(1/n) is n within about 0.71 n eps for every integer n up to 2^53
-        if abs(n - round(n)) > max(1e-9, 2.0 * EPS / theta):
-            raise ConfigurationError(
-                f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
-            )
+        if 0.0 < theta <= 1.0:
+            q = 1 / Fraction(repr(float(theta)))
+            n = q.numerator if q.denominator == 1 else round(1 / Fraction(theta))
+            if float(Fraction(1, n)) == theta:
+                return n
+        raise ConfigurationError(
+            f"degenerate family requires theta = 1/n for integer n >= 1, got {theta}"
+        )
 
     def _pgf_sf(self, theta, s):
         # (1 - s)^(1/theta); s = 1 gives exp(-inf) = 0, as does a quotient beyond the floats
@@ -283,10 +290,7 @@ class Degenerate(LaplaceFamily):
             return -np.expm1(theta * np.log(u))
 
     def sample_count(self, theta, rng, size):
-        self.validate_theta(theta)
-        # the integer a decimal theta names (1e-18 names 10^18, which round(1/theta) misses by 128)
-        q = 1 / Fraction(repr(float(theta)))
-        n = q.numerator if q.denominator == 1 else int(round(1.0 / theta))
+        n = self._count(theta)
         if n >= 2**63:
             raise DomainError(f"degenerate count 1/theta = {n:.6g} exceeds the int64 range")
         return np.full(size, n, dtype=np.int64)

@@ -242,13 +242,13 @@ def run_poincare(family, thetas=POINCARE_THETAS, s_grid=POINCARE_S_GRID):
     )
 
 
-def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE):
+def run_lemma12(family, theta, n, seed):
     """Scaled-count convergence: theta*N_theta against the mixer law.
 
     Draws ``n`` counts, scales them by theta, and takes the sup distance
     between their empirical d.f. and the mixer's d.f. over a grid on
-    [0, 12].  Small theta passes at the threshold; moderate theta visibly
-    fails (the limit has not set in).
+    [0, 12].  Small theta passes at the threshold ``PRELIMIT_ALLOWANCE``;
+    moderate theta visibly fails (the limit has not set in).
     """
     if isinstance(family, MittagLeffler):
         raise ConfigurationError(
@@ -259,8 +259,6 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE):
             "check is not defined for nu < 1"
         )
     family.validate_theta(theta)
-    if not 0.0 < threshold < 1.0:
-        raise ConfigurationError(f"threshold must be finite and in (0, 1), got {threshold}")
     scaled = chunked_draws(seed, n, lambda rng, m: family.sample_count(theta, rng, m).astype(float))
     scaled *= theta
     scaled.sort()
@@ -270,15 +268,15 @@ def run_lemma12(family, theta, n, seed, threshold=PRELIMIT_ALLOWANCE):
     table = Table.from_rows(
         name="distance",
         columns=("theta", "n", "distance", "threshold"),
-        rows=((theta, n, distance, threshold),),
+        rows=((theta, n, distance, PRELIMIT_ALLOWANCE),),
     )
     return ExperimentReport(
         name="lemma12",
         params={"family": family.name, "theta": theta, "n": n},
         seed=seed,
         tables=(table,),
-        stats={"distance": distance, "threshold": threshold},
-        passed=distance < threshold,
+        stats={"distance": distance, "threshold": PRELIMIT_ALLOWANCE},
+        passed=distance < PRELIMIT_ALLOWANCE,
     )
 
 

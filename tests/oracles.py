@@ -68,9 +68,9 @@ _COUNT_MEAN = {
 
 
 def _degenerate_count(theta):
-    """The integer a decimal theta names (1e-18 names 10^18), else the one nearest 1/theta."""
+    """The integer a decimal theta names (1e-18 names 10^18), else the one nearest 1/theta exactly."""
     q = 1 / Fraction(repr(float(theta)))
-    return q.numerator if q.denominator == 1 else int(round(1.0 / theta))
+    return q.numerator if q.denominator == 1 else round(1 / Fraction(theta))
 
 
 def count_mean(family, theta):

@@ -1,8 +1,10 @@
 import argparse
 import hashlib
 import importlib
+import importlib.util
 import math
 import random
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -75,6 +77,38 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     missing = {(owner.__name__, attr) for owner, attr, *_ in tracing.layer_table()
                if isinstance(owner, type) and attr not in vars(owner)}
     assert missing == unwrapped
+
+
+def bindings(owners):
+    """Every callable attribute of the package's modules and of ``owners``, by (owner, name)."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "randmax"]
+    return {(owner, name): value for owner in modules + list(owners)
+            for name, value in vars(owner).items() if callable(value)}
+
+
+def test_bench_tracer_leaves_the_cli_as_it_found_it(tmp_path, capsys):
+    # bench/tracing.py rebinds cli.build_parser and every wrapped function; after uninstall
+    # each binding is the original again, and the cached parser records no span
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = bindings({owner for owner, *_ in tracing.layer_table() if isinstance(owner, type)})
+    randmax.cli._default_parser.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert randmax.cli.main is not before[randmax.cli, "main"]
+        assert randmax.cli.main(["verify", "poincare", "--out", str(tmp_path / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    after = bindings(owner for owner, _ in before if isinstance(owner, type))
+    assert {key for key in before if after.get(key) is not before[key]} == set()
+    spans = len(tracer.spans)
+    assert spans
+    assert randmax.cli.main(["verify", "poincare", "--out", str(tmp_path / "plain")]) == 0
+    assert len(tracer.spans) == spans
+    capsys.readouterr()
 
 
 def test_verify_thm32_seeded(tmp_path):
@@ -401,23 +435,6 @@ def parse_outcome(build, argv, capsys):
     return result, out, err
 
 
-@pytest.mark.parametrize("key", list(EXPERIMENTS), ids=" ".join)
-@pytest.mark.parametrize("tail", [
-    ["-h"],
-    ["--bogus", "1"],  # unrecognized: the root parser's usage line
-    ["--seed", "x"],  # a bad value for a typed flag
-    ["--seed"],  # a flag without its value
-    [],  # a missing required flag, where the experiment has one
-    ["--config", "{cfg}"],  # defaults from a file, typed by the parser
-])
-def test_narrowed_parser_prints_what_the_full_parser_prints(tmp_path, capsys, key, tail):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=x\n")
-    argv = [*key, *(arg.replace("{cfg}", str(cfg)) for arg in tail)]
-    narrowed = parse_outcome(lambda config: build_parser(config, only=key), argv, capsys)
-    assert narrowed == parse_outcome(build_parser, argv, capsys)
-
-
 @pytest.mark.parametrize("argv, message", [
     ([], "error: the following arguments are required: verb\n"),
     (["--help"], "usage: randmax [-h] {verify,sample,extremal,table} ...\n"),
@@ -434,18 +451,42 @@ def test_root_argv_gets_the_full_parser(capsys, argv, message):
     assert (code, out, err) == parse_outcome(build_parser, argv, capsys)
 
 
-def test_a_run_builds_only_its_experiment_parser(tmp_path, monkeypatch, capsys):
+def test_a_second_run_builds_no_parser(tmp_path, monkeypatch, capsys):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    assert main(["table", "doa", "--out", str(tmp_path)]) == 0
-    assert built == ["table", "doa"]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    randmax.cli._default_parser.cache_clear()
+    assert main(["table", "doa", "--out", str(tmp_path / "first")]) == 0
+    assert built
+    built.clear()
+    assert main(["table", "doa", "--out", str(tmp_path / "second")]) == 0
+    assert built == []
     capsys.readouterr()
+
+
+def test_config_defaults_stay_in_their_own_run(tmp_path, monkeypatch, capsys):
+    # a --config run builds its own parser, so its values never become the cached parser's defaults
+    monkeypatch.delenv("RANDMAX_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\n")
+    argv = ["verify", "lemma12", "--n", "1000"]
+    randmax.cli._default_parser.cache_clear()
+    main(argv + ["--config", str(cfg), "--out", str(tmp_path / "cfg")])
+    main(argv + ["--out", str(tmp_path / "plain")])
+    assert "seed = 5\n" in (tmp_path / "cfg" / "lemma12_summary.txt").read_text()
+    assert "seed = 0\n" in (tmp_path / "plain" / "lemma12_summary.txt").read_text()
+    capsys.readouterr()
+
+
+def test_lemma12_takes_no_threshold(tmp_path, capsys):
+    # lemma12 is held to PRELIMIT_ALLOWANCE, like every runner's allowance
+    assert main(["verify", "lemma12", "--threshold", "0.5", "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
 
 
 def test_threads_flag_starts_no_thread(tmp_path, monkeypatch, capsys):
@@ -501,6 +542,20 @@ def test_degenerate_count_is_the_integer_its_theta_names(tmp_path):
                      "--seed", "1"], tmp_path)
     assert code == 0
     assert (out / "count.csv").read_text().splitlines() == ["index,value", "0,1000000000000000000"]
+
+
+@pytest.mark.parametrize("theta, count", [
+    (repr(1 / 3), 3), (repr(1 / 7), 7), (repr(2.0**-60), 2**60), ("1e-17", 10**17),
+    # no decimal names an integer here, so the count is round(1/theta) taken exactly:
+    # 1/3e-19 is 3333333333333333415.8..., which round(1.0 / theta) misses by 88
+    ("1.5e-16", 6666666666666667), ("3e-19", 3333333333333333416),
+])
+def test_degenerate_theta_names_one_count(tmp_path, theta, count):
+    # the refused thetas, whose 1/n rounds to no integer n, are in test_inadmissible_parameter_exits_two
+    code, out = run(["sample", "count", "--family", "degenerate", "--theta", theta, "--n", "1",
+                     "--seed", "1"], tmp_path)
+    assert code == 0
+    assert (out / "count.csv").read_text().splitlines() == ["index,value", f"0,{count}"]
 
 
 def test_tiny_theta_sample_is_one_finite_row(tmp_path):
@@ -592,6 +647,7 @@ def test_non_finite_time_exits_two(tmp_path, capsys, argv, message):
 # a marginal's grid vinv(levels) leaves the normal floats below a shape of about 0.00293
 # (Frechet) or 0.00196 (reverse Weibull), and its points coincide from a shape of about 4e15
 GRID = "the grid of {} lies beyond the float range"
+DEGENERATE = "degenerate family requires theta = 1/n for integer n >= 1, got {}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -619,10 +675,13 @@ GRID = "the grid of {} lies beyond the float range"
     (["verify", "thm31", "--marginal", "frechet:0.001"], GRID.format("Frechet(alpha=0.001)")),
     (["sample", "count", "--theta", "1e-320"], "smallest normal float"),
     (["sample", "randmax", "--theta", "1e-320"], "smallest normal float"),
-    (["verify", "lemma12", "--threshold", "nan"], "threshold must be finite and in (0, 1), got nan"),
-    (["verify", "lemma12", "--threshold", "inf"], "threshold must be finite and in (0, 1), got inf"),
-    (["verify", "lemma12", "--threshold", "-1"], "threshold must be finite and in (0, 1), got -1.0"),
-    (["verify", "lemma12", "--threshold", "1"], "threshold must be finite and in (0, 1), got 1.0"),
+    # a degenerate theta names one integer n with 1/n rounding to theta, or is refused
+    (["sample", "count", "--family", "degenerate", "--theta", "0.3"], DEGENERATE.format(0.3)),
+    (["sample", "count", "--family", "degenerate", "--theta", "1.0000000000000003e-15"],
+     DEGENERATE.format(1.0000000000000003e-15)),
+    (["sample", "count", "--family", "degenerate", "--theta", "1.0000000000000007e-15"],
+     DEGENERATE.format(1.0000000000000007e-15)),
+    (["verify", "lemma12", "--family", "degenerate", "--theta", "1.5"], DEGENERATE.format(1.5)),
     (["sample", "extremal-marginal", "--marginal", "frechet:1e-300", "--n", "3"],
      "Y(t) lies beyond the float range"),
     (["sample", "extremal-marginal", "--t", "1e-320", "--n", "3"], "Y(t) lies beyond the float range"),
@@ -791,6 +850,21 @@ def test_sampler_streams_keep_their_bytes(tmp_path, argv):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STREAM_DIGESTS[argv]
 
 
+# SHA-256 of path.csv at --paths 2000 --seed 1, and its line count
+PATH_DIGESTS = {
+    (): ("9412bdc72b13c29fcb787d8a38d672839a781613de56fcefc93b811b32e1b41e", 18853),
+    ("--floor", "1e-8"): ("94c145157cd0ad2785430506049b005f9b53e5a5e72f5ea2a83f8e4d071c492c", 37954),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PATH_DIGESTS))
+def test_extremal_paths_keep_their_bytes(tmp_path, flags):
+    code, out = run(["extremal", "path", "--paths", "2000", "--seed", "1", *flags], tmp_path)
+    assert code == 0
+    data = (out / "path.csv").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == PATH_DIGESTS[flags]
+
+
 # SHA-256 of sample_random_max_seeded(CountScheme(family, 0.1), (Pareto(1), UnitExponential()),
 # seed 1, n 25 000).tobytes(): a tuple base draws a shared count per row, whose stream is pinned
 TUPLE_BASE_DIGESTS = {
@@ -952,7 +1026,6 @@ def interior_case(rng, key, experiment):
         "--thetas": lambda: ",".join(theta() for _ in range(rng.randint(1, 3))),
         "--s-grid": lambda: ",".join(
             repr(log_uniform(rng, 1e-300, 1e300)) for _ in range(rng.randint(1, 5))),
-        "--threshold": lambda: repr(log_uniform(rng, 1e-3, 0.5)),
         "--ns": lambda: ",".join(index() for _ in range(rng.randint(1, 4))),
         "--n": index if key == ("verify", "thm34") else size,
         "--m": size,

@@ -254,7 +254,7 @@ def test_theta_below_the_smallest_normal_float_is_refused():
 
 def test_degenerate_accepts_its_own_index_in_every_decade_to_2_pow_53():
     # 1/(1/n) misses n by up to about 0.71 n eps, more than 1e-9 from n = 10^7 on; 1/(n + 1/2)
-    # stays refused while 0.5 - 0.71 n eps exceeds the tolerance 2 n eps, to about 8e14
+    # lies a relative 1/(2n) from the reciprocal of either integer beside it, so no 1/n rounds to it
     family, rng = Degenerate(), np.random.default_rng(8)
     for decade in range(16):
         low, high = 10**decade, min(10 ** (decade + 1), 2**53)
@@ -266,6 +266,19 @@ def test_degenerate_accepts_its_own_index_in_every_decade_to_2_pow_53():
             if n < 10**14:
                 with pytest.raises(ConfigurationError, match="theta = 1/n for integer n"):
                     family.validate_theta(1.0 / (n + 0.5))
+
+
+def test_degenerate_admits_every_index():
+    # every index(n) = 1/n is admitted, and for n to 1000 and each power of 10 or 2 in int64
+    # its count is n; from about 2^52 on, other integers' reciprocals may round to the same float
+    family, rng = Degenerate(), np.random.default_rng(30)
+    exact = [*range(1, 1001), *(10**k for k in range(19)), *(2**k for k in range(63))]
+    wide = [*(10**k for k in range(19, 308)), *(2**k for k in range(63, 1023)),
+            *(int(n) for n in rng.integers(1, 2**64, 200, dtype=np.uint64, endpoint=False))]
+    for n in exact + wide:
+        family.validate_theta(family.index(n))
+    for n in exact:
+        assert family.sample_count(family.index(n), substream(0), 1).tolist() == [n]
 
 
 def test_index_and_limit_exponent():
