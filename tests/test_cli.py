@@ -435,6 +435,35 @@ def parse_outcome(build, argv, capsys):
     return result, out, err
 
 
+def run_parser(config):
+    """The parser ``main`` parses with: the cached full parser, or a ``--config`` run's own."""
+    return build_parser(config) if config else randmax.cli._default_parser()
+
+
+@pytest.mark.parametrize("key", list(EXPERIMENTS), ids=" ".join)
+@pytest.mark.parametrize("tail", [
+    ["-h"],
+    ["--bogus", "1"],  # unrecognized: the root parser's usage line
+    ["--seed", "x"],  # a bad value for a typed flag
+    ["--seed"],  # a flag without its value
+    [],  # a missing required flag, where the experiment has one
+    ["--config", "{cfg}"],  # defaults from a file, typed by the parser
+])
+def test_narrowed_parser_prints_what_the_full_parser_prints(tmp_path, capsys, key, tail):
+    # the parser a run is given, the cached one after other runs have used it, prints what a
+    # newly built full parser prints: namespace or exit code, stdout and stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=x\n")
+    argv = [*key, *(arg.replace("{cfg}", str(cfg)) for arg in tail)]
+    for used in ([*key, "--seed", "7", "--out", str(tmp_path)], [*key, "--bogus"]):
+        try:
+            randmax.cli._default_parser().parse_args(used)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert parse_outcome(run_parser, argv, capsys) == parse_outcome(build_parser, argv, capsys)
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "error: the following arguments are required: verb\n"),
     (["--help"], "usage: randmax [-h] {verify,sample,extremal,table} ...\n"),
