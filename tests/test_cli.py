@@ -359,6 +359,26 @@ def test_table_doa(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "thm24", "--ns", "10000,10"], 0),
+    (["table", "doa", "--ns", "10000,10"], 0),
+    # no n exceeds the largest level V = 4, so no row is checked and the run fails
+    (["verify", "thm24", "--ns", "2,3"], 1),
+    (["table", "doa", "--ns", "2"], 1),
+])
+def test_limit_rows_are_checked_in_any_order_above_the_largest_level(tmp_path, argv, code):
+    assert run(argv, tmp_path)[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm24", "--ns", str(10**250)],
+    ["verify", "thm34", "--n", str(10**250), "--m", "2000"],
+])
+def test_mittag_leffler_limit_passes_at_a_large_index(tmp_path, argv):
+    # theta = n^(-1/nu) rounds 1/nu = 1/0.9, which puts the random gap 45 eps off its rate here
+    assert run(argv + ["--family", "mittag-leffler", "--nu", "0.9"], tmp_path)[0] == 0
+
+
 def test_table_doa_far_tail(tmp_path, capsys):
     code, _ = run(["table", "doa", "--ns", "10000000000000000"], tmp_path)
     assert code == 0
@@ -812,50 +832,73 @@ def test_shape_of_a_shapeless_law_exits_two_through_config(tmp_path, capsys, arg
      "--dependence", "complete"],
 ])
 def test_extreme_shapes_and_indices_pass(tmp_path, capsys, argv):
-    # each grid is vinv of fixed levels, so V stays in [1/8, 4] at every admitted shape; on the
-    # grid 0.25, ..., 8 Pareto(2.5) met V = 32 and failed the thm24 witness at n = 100
+    # each grid is vinv of fixed levels, so V stays in [1/8, 4] at every admitted shape
     code, out = run(argv + ["--seed", "1"], tmp_path)
     assert code == 0
     assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
 DEFAULT_SHAPE_DIGESTS = {
-    ("verify", "thm24", "--triple", "pareto:1"):
-        "66cc0844bb1a7705cedfbd970a462122660a7c6259f29214ced3784a1923c68a",
-    ("verify", "thm24", "--triple", "exponential"):
-        "9137fdfe1e25304e2ded6e589bd61b4ec8c104fc0f49a2aafc4571bcdd7742cb",
-    ("verify", "thm24", "--triple", "uniform"):
-        "3df2f280b1ea738dd386037eaa32e7b0c32980145d96b171ba8624b32cfc7019",
-    ("verify", "definetti", "--triple", "pareto:1"):
-        "0c8b38054a7e3333a3867bb165a10829e6752f592e0dfafa1b050464941e04a9",
-    ("verify", "definetti", "--triple", "exponential"):
-        "8df87850e0260ae1ac4069d64d4d79657211d85058474583a3ef8e42910a3756",
-    ("verify", "definetti", "--triple", "uniform"):
-        "e1f8a1124860bd51f1f9f82a3b719f89038c21365309b0a1b71b37112385108f",
-    ("table", "doa", "--triple", "pareto:1"):
-        "f5e78b225831cf6d6fab36d20b675bf5c80eff0d815df3cd6fd3d730158f7cdf",
-    ("table", "doa", "--triple", "exponential"):
-        "90567a83505ff1a049568908089aacf289fb87e4a35aa9f1a3552fe989f87f7a",
-    ("table", "doa", "--triple", "uniform"):
-        "2f33135bfcafd1f0871f8f5872b12f6d92be32e9fabb89355d479b2fe9e1b786",
-    ("verify", "thm31", "--marginal", "frechet:1"):
-        "4bd05b483e2d5c52f549025c6f0cedd60d1e0275ecbba4f13d1fe946867689a3",
-    ("verify", "thm31", "--marginal", "gumbel"):
-        "e9abcf3f245291785209605141e3df7d05ba5b95b39df8cbbd0d104968ec3c75",
-    ("verify", "thm31", "--marginal", "reverse-weibull:1"):
-        "6bf1f08fb15099aa59655e5c315d2e2cef5fea225a29b61522e289a8b342c817",
+    ("verify", "thm24", "--triple", "pareto:1"): (
+        "106fa0d0e883288d928b084c7f1757962c631d803adfe3c94b1aa2822f2027a5",
+        "06dfdc57ad2f386ddb040c960e0a6aff36eb0496506c04e0f24b1c5ed23a125d",
+    ),
+    ("verify", "thm24", "--triple", "exponential"): (
+        "37888c8dd21ff7dc3838eb22271b0c96e6dd7bc5f4eead1b7a023ab9a38a3773",
+        "ae3f7962e0e3af39755d679608f1217b459c6f721ea74947d2a1ea8afdb5ec22",
+    ),
+    ("verify", "thm24", "--triple", "uniform"): (
+        "106fa0d0e883288d928b084c7f1757962c631d803adfe3c94b1aa2822f2027a5",
+        "a8935ae8f9a8068ecf6d5db8534d76e7a521ca39accb87dff5e50278b0a51400",
+    ),
+    ("verify", "definetti", "--triple", "pareto:1"): (
+        "18bbabb7b54ac7e3b02f4588a2df1a185c79cfc2bc577feb0efcd1e46f9f2feb",
+        "33e9e33551e9cbe3a5e2f98750d782ff52869653bf3ceecb7e8309c220799422",
+    ),
+    ("verify", "definetti", "--triple", "exponential"): (
+        "68b54097c0c566b5a73e2b6129b180fcebb64ac9006a74eb2632ff5f5d858d0e",
+        "9f01a9a682fca19164c5e66c6aadd10c1e4fad1f72449bd1e1f1a983003138f7",
+    ),
+    ("verify", "definetti", "--triple", "uniform"): (
+        "18bbabb7b54ac7e3b02f4588a2df1a185c79cfc2bc577feb0efcd1e46f9f2feb",
+        "3d300c0585ba32bb2bd4de89b19820d064b8eb8ebde69a023eccbc3f48f1cef0",
+    ),
+    ("table", "doa", "--triple", "pareto:1"): (
+        "d14933497f9e923640719d83a81e58b54a0de0879ff81a6aef790820be8233e8",
+        "2a199cc3c604fe402f3b3012cb1ceb9af9d91a6bc2e26dbbfbacf06c8e4fc23e",
+    ),
+    ("table", "doa", "--triple", "exponential"): (
+        "0f36b6192fdff9d6b8806081871dda8eaef096ac62ed0bf0cf3149ae96b06259",
+        "1976e20c90824f5782e1d5b572ba2833b8857bdcc4428891064dd73a7870fdc4",
+    ),
+    ("table", "doa", "--triple", "uniform"): (
+        "d14933497f9e923640719d83a81e58b54a0de0879ff81a6aef790820be8233e8",
+        "e849ef38d8072be57e50cf97def3b49a5030dab50624036c5b0949b70e5a1ecf",
+    ),
+    ("verify", "thm31", "--marginal", "frechet:1"): (
+        "bfc15386fd2e5c3c693bcd010b49a124aa76bcad0fafb3034ac51bc152d79c74",
+        "42ee246896bea7141fea7ae4a1381b0d0a0a3d034ba2bf516ffe97542ac0d023",
+    ),
+    ("verify", "thm31", "--marginal", "gumbel"): (
+        "79e7242d7b135f9041d43fa15307d64af4e923f6c0273fbfec08eebc03d64ebf",
+        "42ee246896bea7141fea7ae4a1381b0d0a0a3d034ba2bf516ffe97542ac0d023",
+    ),
+    ("verify", "thm31", "--marginal", "reverse-weibull:1"): (
+        "7de1cd64163275556a9e37e1490eac276a3787a1c2b8748c24e0ace9d4c6b37f",
+        "42ee246896bea7141fea7ae4a1381b0d0a0a3d034ba2bf516ffe97542ac0d023",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(DEFAULT_SHAPE_DIGESTS))
 def test_default_shape_outputs_keep_their_bytes(tmp_path, argv):
-    # SHA-256 of the output files (table CSV, then summary) concatenated in name order
+    # SHA-256 of the table CSV and of the summary, each pinned on its own
     code, out = run(list(argv), tmp_path)
     assert code == 0
     files = sorted(out.iterdir())
     assert [path.suffix for path in files] == [".csv", ".txt"]
-    digest = hashlib.sha256(b"".join(path.read_bytes() for path in files)).hexdigest()
-    assert digest == DEFAULT_SHAPE_DIGESTS[argv]
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in files)
+    assert digests == DEFAULT_SHAPE_DIGESTS[argv]
 
 
 # SHA-256 of the sample CSV at --n 1000 --seed 1: a change to a sampler's stream must be deliberate

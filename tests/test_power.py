@@ -15,7 +15,7 @@ import randmax.verify_harness
 from randmax.cli import EXPERIMENTS, main
 from randmax.evd_core import COMPLETE_DEPENDENCE, INDEPENDENCE
 from randmax.extremal_proc import sample_levels
-from randmax.lt_families import Degenerate, Geometric, LaplaceFamily
+from randmax.lt_families import Degenerate, Geometric, LaplaceFamily, MittagLeffler
 
 RANDOM_MAX = [["verify", "poincare"], ["verify", "thm24"], ["verify", "thm31"], ["verify", "thm34"]]
 DEGENERATE = [argv + ["--family", "degenerate"] for argv in RANDOM_MAX]
@@ -31,6 +31,11 @@ def at_scaled_theta(owner, name, factor):
 def scaled_mixer(factor):
     original = Geometric.sample_mixer
     return Geometric, "sample_mixer", lambda self, rng, size: factor * original(self, rng, size)
+
+
+def scaled_limit_exponent(factor):
+    original = MittagLeffler.limit_exponent
+    return MittagLeffler, "limit_exponent", lambda self, v: factor * original(self, v)
 
 
 def mapped_counts(func):
@@ -74,6 +79,21 @@ MUTATIONS = [
         (LaplaceFamily, "index", lambda self, n: 2.0 / n),
         [["verify", "thm24"], ["verify", "thm34"]],
         id="index-2/n",
+    ),
+    # at n = 10^4, n times the random gap reads 2.25 under index 1.001/n and 12.2 under the
+    # scaled exponent, against the first-order rate 0.64, though each gap is below 1.3e-3
+    pytest.param(
+        (LaplaceFamily, "index", lambda self, n: 1.001 / n), [["verify", "thm24"]], id="index-1.001/n"
+    ),
+    pytest.param(
+        (LaplaceFamily, "index", lambda self, n: 1.001 / n),
+        [["verify", "thm34"]],
+        id="index-1.001/n-thm34",
+    ),
+    pytest.param(
+        scaled_limit_exponent(1.01),
+        [["verify", "thm34", "--family", "mittag-leffler", "--nu", "0.5"]],
+        id="mittag-leffler-limit-exponent*1.01",
     ),
     pytest.param(scaled_mixer(1.03), THM32, id="mixer*1.03"),
     pytest.param(

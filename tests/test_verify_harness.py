@@ -33,12 +33,16 @@ from randmax import (
     substream,
     univariate,
 )
-from randmax.evd_core import Frechet, cdf_gap
+from randmax.evd_core import Frechet, Gumbel, ReverseWeibull, cdf_gap
+from randmax.lt_families import LaplaceFamily
 from randmax.verify_harness import (
     BLOCK_VALUES,
     CSV_BLOCK_ROWS,
+    EPS,
     KS_EXACT_BELOW,
     KS_ONE_PERCENT,
+    _first_order,
+    _holds,
     _kolmogorov_cdf,
     format_value,
 )
@@ -168,7 +172,7 @@ def test_run_definetti_degenerate_pareto():
     report = run_definetti(DEGENERATE, PARETO1)
     stats = dict(report.stats)
     assert stats["final_gap"] < 1e-3
-    assert stats["monotone"]
+    assert list(stats) == ["final_gap"]  # n S = V, so the first-order rate is 0 and not printed
     assert report.passed
 
 
@@ -206,7 +210,8 @@ def test_run_thm24_pareto_geometric_table():
     stats = dict(report.stats)
     assert stats["final_gap_deterministic"] < 2e-3
     assert stats["final_gap_random"] < 2e-3
-    assert stats["monotone"] and stats["witness"]
+    assert stats["rate_deterministic"] == pytest.approx(2 * math.exp(-2.0), rel=1e-15)
+    assert stats["rate_random"] == pytest.approx(0.64, rel=1e-15)
     assert report.passed
     # strict decrease along n for this triple
     gaps = [rows[n][1] for n in (10, 100, 1_000, 10_000)]
@@ -234,10 +239,91 @@ def test_run_thm24_exponential_logistic_limit():
     assert np.abs(limit - 1.0 / (1.0 + np.exp(-x))).max() < 1e-14
 
 
+# first-order rates (deterministic, random) to 7 digits; on the Frechet grid, V = 2 gives 2 e^-2
+# and V = 4 gives (4/5)^2; on the Gumbel grid V = e gives both
+PINNED_RATES = {"Frechet": (0.2706706, 0.64), "Gumbel": (0.2437946, 0.5344466)}
+
+
+@pytest.mark.parametrize("marginal", [Frechet(1.0), Gumbel(), ReverseWeibull(1.0)], ids=repr)
+def test_first_order_rates_match_mpmath(marginal):
+    # each gap where n S = V, to 50 digits: n times it lies within 2K/n of its rate c
+    mpmath = pytest.importorskip("mpmath")
+    v = marginal.v(marginal.grid)
+    families = (None, DEGENERATE, GEOMETRIC, MittagLeffler(0.5))
+    rates = [_first_order(v, family) for family in families]
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(x) for x in v]
+        for n in (10, 1_000, 10**6):
+            det = max(abs((1 - x / n) ** n - mpmath.exp(-x)) for x in w)
+            # geometric counts at theta = 1/n: P_theta(1 - S) = a/(a + S), a = (1 - S)/n, S = V/n
+            ran = max(abs((1 - x / n) / (1 - x / n + x) - 1 / (1 + x)) for x in w)
+            for family, gap, (c, k) in zip(families, (det, det, ran, ran), rates):
+                assert abs(n * gap - c) <= 2 * k / n, (n, family)
+    pinned = PINNED_RATES.get(type(marginal).__name__)
+    if pinned:
+        assert (rates[0][0], rates[2][0]) == pytest.approx(pinned, abs=1e-7)
+    assert rates[0] == rates[1] and rates[2] == rates[3]
+
+
+def test_limit_rule_bounds():
+    # a gap holds within 2K/n^2 + 8 eps ln n of c/n (ln 10 > 1), and only rows with n > max V count
+    v, (c, k) = np.array([4.0, 0.5]), (0.5, 0.25)
+    edge, eps = c / 10 + 2 * k / 10**2, EPS * math.log(10)
+    assert _holds([(10, edge + 7 * eps)], v, [(c, k)])
+    assert not _holds([(10, edge + 9 * eps)], v, [(c, k)])
+    assert not _holds([(10, c / 10 - 2 * k / 10**2 - 9 * eps)], v, [(c, k)])
+    assert not _holds([(4, c / 4)], v, [(c, k)])
+    assert _holds([(4, 1.0), (10, c / 10)], v, [(c, k)])
+
+
+@pytest.mark.parametrize("excess, passed", [(7, True), (9, False)])
+def test_tail_gap_holds_within_eight_eps_of_the_largest_level(monkeypatch, excess, passed):
+    # |n S - V| is 0 where n > max V (= 4 on the Frechet grid), up to 8 eps max V
+    real_doa_gap = randmax.verify_harness.doa_gap
+    monkeypatch.setattr(randmax.verify_harness, "doa_gap",
+                        lambda base, n: (excess * EPS * 4, real_doa_gap(base, n)[1]))
+    monkeypatch.setattr(randmax.verify_harness, "tail_gap", lambda n, s, v: excess * EPS * 4)
+    assert run_doa_table(PARETO1).passed is passed
+    assert run_thm34(GEOMETRIC, PARETO1, 10_000, 2_000, 1).passed is passed
+
+
+def test_first_order_refuses_a_family_it_has_no_rate_for():
+    class Unknown(LaplaceFamily):
+        name = "unknown"
+
+    with pytest.raises(ConfigurationError, match="no first-order rate .* unknown family"):
+        _first_order(np.array([1.0]), Unknown())
+
+
+def _admitted_powers(family):
+    """The n = 10^k, k >= 1, whose count index is a normal float, to the float range."""
+    ns = []
+    for k in range(1, 309):
+        try:
+            family.index(10**k)
+        except DomainError:
+            continue
+        ns.append(10**k)
+    return tuple(ns)
+
+
+@pytest.mark.parametrize("family", [GEOMETRIC, DEGENERATE, MittagLeffler(0.9), MittagLeffler(0.37),
+                                    MittagLeffler(0.1)], ids=repr)
+@pytest.mark.parametrize("base", [PARETO1, EXPONENTIAL, UNIFORM, standard_triple("pareto", 3e15),
+                                  standard_triple("pareto", 0.003)], ids=lambda b: b.name)
+def test_limit_rule_passes_at_every_admitted_power_of_ten(family, base):
+    # the index n^(-1/nu) rounds 1/nu, an error that grows with ln n: at nu = 0.9 and n = 10^250
+    # the random gap is 45 eps away from its rate
+    ns = _admitted_powers(family)
+    assert ns[-1] >= 10**29
+    assert run_thm24(family, base, ns).passed
+    assert run_definetti(family, base, ns).passed
+    assert run_doa_table(base, ns).passed
+
+
 def test_run_thm24_witness_inequality_rows():
     # for the 1-Lipschitz transform the random gap is dominated once the
-    # pre-limit terms are gone (n >= 100); at n = 10 the domination fails,
-    # which is why the witness check starts at n = 100
+    # pre-limit terms are gone (n >= 100); at n = 10 the domination fails
     report = run_thm24(GEOMETRIC, PARETO1)
     rows = {row[0]: row for row in report.tables[0].rows}
     for n in (100, 1_000, 10_000):
